@@ -4,17 +4,18 @@
 // library. Use cmd/trafficgen to produce input captures, or feed any
 // raw-IP pcap.
 //
-// Two modes:
+// Single-node modes:
 //
 //   - Replay (default): the deterministic single pipeline. The control
 //     loop runs in the capture's own timeline, so identical inputs
 //     yield identical verdicts.
 //   - Real time (-realtime, or -shards > 1): the concurrent sharded
 //     pipeline on the wall-clock driver. Capture timestamps are
-//     ignored; packets are fanned across ingest goroutines as fast as
-//     the pipeline absorbs them and the control loop polls on real
-//     time — the software-router deployment shape, reported with
-//     ingest throughput.
+//     ignored; each packet is reduced to its header features and
+//     offered to the bounded ingest stage as fast as the pipeline
+//     absorbs them, and the control loop polls on real time — the
+//     software-router deployment shape, reported with ingest
+//     throughput.
 //   - Wire-speed replay (-replay, implies -realtime): the capture is
 //     memory-mapped and raw frames stream through an exclusive
 //     lock-free ingest lane — fused feature decode, no Packet structs,
@@ -44,6 +45,10 @@
 // windowed on capture time (-victim-window ms). The hysteresis-stable
 // victim list prints after the capture drains and is served live as
 // JSON on GET /victims when -metrics-addr is set.
+//
+// In-process fleet: -fleet-nodes N (N >= 1) runs N pipelines under one
+// global ranking coordinator, the capture partitioned across them by
+// source IP hash; -coordinator=false starts the fleet partitioned.
 //
 // Multi-process fleet (real TCP): -coordinator-listen runs the
 // standalone ranking coordinator; -coordinator-addr (with -node-id)
@@ -75,6 +80,7 @@
 //	accturbo-defend -in day.pcap -snapshot-out day.snap
 //	accturbo-defend -restore day.snap -in next.pcap
 //	accturbo-defend -in day.pcap -victims 8 -victim-window 500
+//	accturbo-defend -in day.pcap -fleet-nodes 3 -coordinator=false
 //	accturbo-defend -coordinator-listen :7100 -metrics-addr :9100
 //	accturbo-defend -in day.pcap -coordinator-addr :7100 -node-id 1 -metrics-addr :9101 -run-for 30s
 //	accturbo-defend -chaos-proxy :7200 -chaos-proxy-target :7100 -chaos-seed 7 -chaos-corrupt-every 4096
@@ -83,18 +89,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"accturbo"
@@ -104,14 +105,398 @@ import (
 	"accturbo/internal/pcap"
 )
 
+func fatal(code int, v ...any) {
+	fmt.Fprintln(os.Stderr, v...)
+	os.Exit(code)
+}
+
+// options holds every command-line flag.
+type options struct {
+	in, verdictsOut, metricsAddr, faultSpec, cpuProfile, restorePath, snapshotOut string
+	coordListen, coordAddr, chaosProxyAddr, chaosProxyTarget                      string
+
+	clusters, pollMs, reseedMs, replayLoops, shards, ingest, ingestQueue, batchSize int
+	victimsK, victimWindowMs, fleetNodes, chaosPlan                                 int
+
+	realtime, replay, coordinator bool
+	failOpenAfter, runFor         time.Duration
+	nodeID                        uint
+	chaosPlanHorizon              uint64
+	chaos                         fleet.ChaosSpec // -chaos-seed also seeds -fault-spec
+}
+
+// parseFlags parses the command line (without the program name); a
+// malformed one exits 2 with the usage text, as the flag package does.
+func parseFlags(args []string) *options {
+	o := &options{}
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&o.in, "in", "", "input pcap (raw-IP linktype)")
+	fs.StringVar(&o.verdictsOut, "verdicts", "", "optional CSV of per-packet verdicts")
+	fs.IntVar(&o.clusters, "clusters", 4, "number of clusters / priority queues")
+	fs.IntVar(&o.pollMs, "poll", 250, "controller poll interval (ms)")
+	fs.IntVar(&o.reseedMs, "reseed", 1000, "cluster re-initialization period (ms, 0 = never)")
+	fs.BoolVar(&o.realtime, "realtime", false, "run the wall-clock pipeline instead of deterministic replay")
+	fs.BoolVar(&o.replay, "replay", false, "wire-speed frame replay: memory-map the capture and stream raw frames through a lock-free ingest lane (implies -realtime; lossless, retries under backpressure)")
+	fs.IntVar(&o.replayLoops, "replay-loops", 1, "passes over the capture in -replay mode")
+	fs.IntVar(&o.shards, "shards", 1, "data-plane clustering shards (> 1 implies -realtime)")
+	fs.IntVar(&o.ingest, "ingest", runtime.GOMAXPROCS(0), "ingest goroutines in real-time mode")
+	fs.IntVar(&o.ingestQueue, "ingest-queue", 8192, "bounded ingest queue capacity in real-time mode (overflow is shed, not buffered)")
+	fs.IntVar(&o.batchSize, "batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /health on this address (e.g. :9100) while processing")
+	fs.Uint64Var(&o.chaos.Seed, "chaos-seed", 0, "seed for deterministic fault injection (used with -fault-spec)")
+	fs.StringVar(&o.faultSpec, "fault-spec", "", "fault plan, e.g. 'drop:p=0.01;dup:p=0.005;stall:at=5s,for=2s' (see internal/faults)")
+	fs.DurationVar(&o.failOpenAfter, "fail-open-after", 0, "watchdog staleness bound: revert to uniform priority when no decision deploys for this long (0 = disabled)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the processing loop to this file")
+	fs.StringVar(&o.restorePath, "restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
+	fs.StringVar(&o.snapshotOut, "snapshot-out", "", "write a defense state snapshot to this file after the capture drains")
+	fs.IntVar(&o.victimsK, "victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off; adds GET /victims to -metrics-addr)")
+	fs.IntVar(&o.victimWindowMs, "victim-window", 1000, "victim-detection window length (ms of capture time; used with -victims)")
+	fs.IntVar(&o.fleetNodes, "fleet-nodes", 0, "run this many in-process fleet nodes under one global ranking coordinator (0 = single-node mode); capture traffic is partitioned across nodes by source IP hash")
+	fs.BoolVar(&o.coordinator, "coordinator", true, "with -fleet-nodes: keep the ranking coordinator reachable; false starts the fleet partitioned, so every node runs on its sticky local fallback ranking")
+	fs.StringVar(&o.coordListen, "coordinator-listen", "", "run the standalone fleet ranking coordinator on this TCP address (multi-process fleet mode; no capture needed)")
+	fs.StringVar(&o.coordAddr, "coordinator-addr", "", "run as one fleet node dialing the coordinator at this TCP address (multi-process fleet mode; use with -node-id)")
+	fs.UintVar(&o.nodeID, "node-id", 1, "this node's fleet id (>= 1, unique per fleet; used with -coordinator-addr)")
+	fs.DurationVar(&o.runFor, "run-for", 0, "multi-process fleet modes: keep running (and polling) this long after the capture drains (0 = forever for -coordinator-listen/-chaos-proxy, exit after drain for nodes)")
+	fs.StringVar(&o.chaosProxyAddr, "chaos-proxy", "", "run a socket-level chaos relay on this TCP address (use with -chaos-proxy-target and the -chaos-* schedule flags)")
+	fs.StringVar(&o.chaosProxyTarget, "chaos-proxy-target", "", "the address the chaos relay forwards to (usually the coordinator)")
+	fs.IntVar(&o.chaos.CorruptEvery, "chaos-corrupt-every", 0, "chaos relay: XOR one byte roughly every N relayed bytes (0 = off)")
+	fs.IntVar(&o.chaos.ResetEvery, "chaos-reset-every", 0, "chaos relay: hard-reset the connection (RST) roughly every N relayed bytes (0 = off)")
+	fs.IntVar(&o.chaos.DelayEvery, "chaos-delay-every", 0, "chaos relay: stall the relay roughly every N relayed bytes (0 = off)")
+	fs.DurationVar(&o.chaos.DelayFor, "chaos-delay-for", 50*time.Millisecond, "chaos relay: stall duration for -chaos-delay-every")
+	fs.IntVar(&o.chaosPlan, "chaos-plan", 0, "print the deterministic chaos-relay fault schedule for this many connections and exit (determinism gate; uses the -chaos-* flags)")
+	fs.Uint64Var(&o.chaosPlanHorizon, "chaos-plan-horizon", 1<<16, "bytes of each connection direction the -chaos-plan render covers")
+	fs.Parse(args)
+	return o
+}
+
+// mode names the run function the flags select once the chaos-relay
+// modes, which need no pipeline, are ruled out.
+func (o *options) mode() string {
+	switch {
+	case o.coordListen != "":
+		return "coordinator"
+	case o.coordAddr != "":
+		return "node"
+	case o.fleetNodes >= 1:
+		return "fleet"
+	}
+	return "single"
+}
+
+// validate normalizes the implied flags (-shards > 1 and -replay imply
+// -realtime) and rejects flag combinations no mode accepts; every error
+// is a usage error.
+func (o *options) validate() error {
+	tcpFleet := o.coordListen != "" || o.coordAddr != ""
+	if o.shards > 1 || o.replay {
+		o.realtime = true
+	}
+	switch {
+	case o.in == "" && o.restorePath == "" && !tcpFleet:
+		return errors.New("missing -in capture (or -restore snapshot)")
+	case o.replay && o.in == "":
+		return errors.New("-replay needs an -in capture")
+	case o.replay && (o.verdictsOut != "" || o.batchSize > 1 || o.faultSpec != "" || o.victimsK > 0):
+		return errors.New("-replay streams raw frames and cannot be combined with -verdicts, -batch, -fault-spec, or -victims")
+	case o.replay && o.replayLoops < 1:
+		return errors.New("-replay-loops must be at least 1")
+	case o.batchSize > 1 && o.verdictsOut != "":
+		return errors.New("-batch cannot be combined with -verdicts: the batch path reports queue counts, not per-packet distances")
+	case o.fleetNodes < 0:
+		return errors.New("-fleet-nodes must not be negative")
+	case o.coordListen != "" && o.coordAddr != "":
+		return errors.New("-coordinator-listen and -coordinator-addr are different processes; pick one")
+	case tcpFleet && (o.fleetNodes > 0 || o.singleNodeOnly()):
+		return errors.New("multi-process fleet modes cannot be combined with -fleet-nodes, -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
+	case o.fleetNodes > 0 && o.singleNodeOnly():
+		return errors.New("-fleet-nodes cannot be combined with -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
+	case o.victimsK > 0 && o.victimWindowMs <= 0:
+		return errors.New("-victim-window must be positive")
+	}
+	return nil
+}
+
+// singleNodeOnly reports whether a flag only the single-node pipeline
+// supports is set.
+func (o *options) singleNodeOnly() bool {
+	return o.replay || o.verdictsOut != "" || o.batchSize > 1 || o.restorePath != "" ||
+		o.snapshotOut != "" || o.shards > 1 || o.victimsK > 0
+}
+
+// config builds the per-node pipeline configuration.
+func (o *options) config(injector *faults.Injector) accturbo.Config {
+	cfg := accturbo.HardwareConfig()
+	cfg.Clustering.MaxClusters = o.clusters
+	cfg.Clustering.SliceInit = true
+	cfg.NumQueues = o.clusters
+	cfg.Shards = o.shards
+	cfg.PollInterval = accturbo.FromDuration(time.Duration(o.pollMs) * time.Millisecond)
+	cfg.DeployDelay = cfg.PollInterval / 5
+	if o.reseedMs > 0 {
+		cfg.ReseedInterval = accturbo.FromDuration(time.Duration(o.reseedMs) * time.Millisecond)
+	}
+	cfg.FailOpenAfter = accturbo.FromDuration(o.failOpenAfter)
+	if injector != nil {
+		// Stall windows wrap the control loop's clock: the capture
+		// timeline in replay mode, wall time since startup in real-time
+		// mode. The watchdog stays on the unwrapped clock either way.
+		cfg.WrapClock = injector.ClockWrapper()
+	}
+	return cfg
+}
+
+func main() {
+	o := parseFlags(os.Args[1:])
+	if o.chaosPlan > 0 {
+		fmt.Print(o.chaos.Plan(o.chaosPlan, o.chaosPlanHorizon))
+		return
+	}
+	if o.chaosProxyAddr != "" {
+		if o.chaosProxyTarget == "" {
+			fatal(2, "-chaos-proxy needs -chaos-proxy-target")
+		}
+		runChaosProxy(o.chaosProxyAddr, o.chaosProxyTarget, o.chaos, o.runFor)
+		return
+	}
+	if err := o.validate(); err != nil {
+		fatal(2, err)
+	}
+	spec, err := faults.ParseSpec(o.faultSpec)
+	if err != nil {
+		fatal(2, err)
+	}
+	src := &captureStream{seed: o.chaos.Seed, spec: spec}
+	if !spec.Empty() {
+		src.injector = faults.New(o.chaos.Seed, spec)
+	}
+
+	// The replay path maps the capture instead of streaming it; frames
+	// stay valid until the mapping closes, which the deferred Close runs
+	// after the pipeline has drained.
+	var mapped *pcap.MappedReader
+	switch {
+	case o.replay:
+		if mapped, err = pcap.OpenMapped(o.in); err != nil {
+			fatal(1, err)
+		}
+		defer mapped.Close()
+	case o.in != "":
+		f, err := os.Open(o.in)
+		if err != nil {
+			fatal(1, err)
+		}
+		defer f.Close()
+		if src.r, err = pcap.NewReader(f); err != nil {
+			fatal(1, err)
+		}
+	}
+
+	cfg := o.config(src.injector)
+	switch o.mode() {
+	case "coordinator":
+		runTCPCoordinator(cfg, o.coordListen, o.metricsAddr, o.runFor)
+	case "node":
+		runTCPNode(cfg, o.coordAddr, uint32(o.nodeID), o.metricsAddr, src, o.runFor)
+	case "fleet":
+		runFleet(cfg, o.fleetNodes, o.coordinator, o.metricsAddr, src)
+	default:
+		runSingle(o, cfg, src, mapped)
+	}
+}
+
+// capturedPacket is one packet of the capture stream with its capture
+// timestamp.
 type capturedPacket struct {
 	at  time.Duration
 	pkt *packet.Packet
 }
 
-func fatal(code int, v ...any) {
-	fmt.Fprintln(os.Stderr, v...)
-	os.Exit(code)
+// captureStream yields the capture with packet-level faults applied:
+// injected drops vanish, duplicates follow their original back to back,
+// and corruption mutates headers in place — all deterministic under
+// -chaos-seed. tap, when set, sees every packet the stream yields. A
+// nil reader yields nothing (-restore without -in).
+type captureStream struct {
+	r        *pcap.Reader
+	injector *faults.Injector // nil without -fault-spec
+	seed     uint64
+	spec     faults.Spec
+	tap      func(capturedPacket)
+	dup      *capturedPacket // duplicate owed before the next read
+}
+
+func (s *captureStream) next() (capturedPacket, bool) {
+	c, ok := s.read()
+	if ok && s.tap != nil {
+		s.tap(c)
+	}
+	return c, ok
+}
+
+func (s *captureStream) read() (capturedPacket, bool) {
+	if c := s.dup; c != nil {
+		s.dup = nil
+		return *c, true
+	}
+	for s.r != nil {
+		at, p, err := s.r.Next()
+		if err != nil {
+			break
+		}
+		c := capturedPacket{at: at.Duration(), pkt: p}
+		if s.injector != nil {
+			drop, dup := s.injector.Mangle(p)
+			if drop {
+				continue
+			}
+			if dup {
+				cp := *p
+				s.dup = &capturedPacket{at: c.at, pkt: &cp}
+			}
+		}
+		return c, true
+	}
+	return capturedPacket{}, false
+}
+
+// printChaos reports the fault counters (nothing without -fault-spec);
+// control adds the control-plane stall counters.
+func (s *captureStream) printChaos(control bool) {
+	inj := s.injector
+	if inj == nil {
+		return
+	}
+	fmt.Printf("chaos (seed %d, spec %q): %d dropped, %d duplicated, %d corrupted",
+		s.seed, s.spec.String(), inj.PacketsDropped.Value(), inj.PacketsDuplicated.Value(), inj.PacketsCorrupted.Value())
+	if control {
+		fmt.Printf(", %d polls suppressed, %d callbacks delayed", inj.PollsSuppressed.Value(), inj.CallbacksDelayed.Value())
+	}
+	fmt.Println()
+}
+
+// serveAdmin is the one -metrics-addr HTTP server every mode shares: it
+// listens on addr, serves routes, prints banner (a format string taking
+// the bound address) and returns the function that stops the server.
+// An empty addr serves nothing.
+func serveAdmin(addr, banner string, routes map[string]http.HandlerFunc) (stop func()) {
+	if addr == "" {
+		return func() {}
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(1, err)
+	}
+	srv := &http.Server{Handler: adminMux(routes)}
+	go srv.Serve(ln)
+	fmt.Printf(banner+"\n", ln.Addr())
+	return func() { srv.Close() }
+}
+
+func adminMux(routes map[string]http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	for path, h := range routes {
+		mux.HandleFunc(path, h)
+	}
+	return mux
+}
+
+// writeJSON answers with v as a JSON document. Degraded answers 503
+// first: load balancers read the status line, and degraded means "stop
+// sending me traffic", even though the data plane is still forwarding
+// fail-open.
+func writeJSON(w http.ResponseWriter, degraded bool, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	if degraded {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// metricsHandler serves the Defense's telemetry registry in the
+// Prometheus text format.
+func metricsHandler(d *accturbo.Defense) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		if err := d.WriteMetrics(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	}
+}
+
+// healthHandler serves the Defense's Health snapshot, 503 while
+// degraded. wrap, when non-nil, embeds the snapshot in a mode-specific
+// document.
+func healthHandler(d *accturbo.Defense, wrap func(accturbo.Health) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		h := d.Health()
+		var doc any = h
+		if wrap != nil {
+			doc = wrap(h)
+		}
+		writeJSON(w, h.Degraded, doc)
+	}
+}
+
+// singleRoutes are the single-node admin routes: metrics, health, the
+// live config, state snapshots and, with a victim detector, the victim
+// list.
+func singleRoutes(d *accturbo.Defense, vd *accturbo.VictimDetector) map[string]http.HandlerFunc {
+	routes := map[string]http.HandlerFunc{
+		"/metrics": metricsHandler(d),
+		"/health":  healthHandler(d, nil),
+		"/config": func(w http.ResponseWriter, req *http.Request) {
+			switch req.Method {
+			case http.MethodGet:
+				writeConfig(w, d)
+			case http.MethodPut:
+				var cp configPatch
+				if err := json.NewDecoder(req.Body).Decode(&cp); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				patch, err := cp.toRuntimePatch()
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				if _, err := d.Reconfigure(patch); err != nil {
+					http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+					return
+				}
+				writeConfig(w, d)
+			default:
+				http.Error(w, "GET or PUT", http.StatusMethodNotAllowed)
+			}
+		},
+		"/snapshot": func(w http.ResponseWriter, req *http.Request) {
+			if req.Method != http.MethodPost {
+				http.Error(w, "POST", http.StatusMethodNotAllowed)
+				return
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("Content-Disposition", `attachment; filename="defense.snap"`)
+			if err := d.SaveState(w); err != nil {
+				// Headers are gone; the truncated body fails the snapshot's
+				// own checksum on restore, so the client still can't load it.
+				fmt.Fprintln(os.Stderr, "snapshot:", err)
+			}
+		},
+	}
+	if vd != nil {
+		routes["/victims"] = func(w http.ResponseWriter, _ *http.Request) {
+			vs := vd.Victims()
+			if vs == nil {
+				vs = []accturbo.Victim{}
+			}
+			writeJSON(w, false, struct {
+				Windows uint64            `json:"windows"`
+				Victims []accturbo.Victim `json:"victims"`
+			}{vd.Windows(), vs})
+		}
+	}
+	return routes
 }
 
 // configPatch is the admin wire format for PUT /config: ranking by
@@ -156,8 +541,7 @@ func writeConfig(w http.ResponseWriter, d *accturbo.Defense) {
 	msOf := func(t accturbo.VirtualTime) float64 {
 		return float64(t.Duration()) / float64(time.Millisecond)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, false, map[string]any{
 		"generation":           d.ConfigGeneration(),
 		"ranking":              rt.Ranking.String(),
 		"poll_interval_ms":     msOf(rt.PollInterval),
@@ -166,987 +550,4 @@ func writeConfig(w http.ResponseWriter, d *accturbo.Defense) {
 		"fail_open_after_ms":   msOf(rt.FailOpenAfter),
 		"watchdog_interval_ms": msOf(rt.WatchdogInterval),
 	})
-}
-
-func main() {
-	in := flag.String("in", "", "input pcap (raw-IP linktype)")
-	verdictsOut := flag.String("verdicts", "", "optional CSV of per-packet verdicts")
-	clusters := flag.Int("clusters", 4, "number of clusters / priority queues")
-	pollMs := flag.Int("poll", 250, "controller poll interval (ms)")
-	reseedMs := flag.Int("reseed", 1000, "cluster re-initialization period (ms, 0 = never)")
-	realtime := flag.Bool("realtime", false, "run the wall-clock pipeline instead of deterministic replay")
-	replay := flag.Bool("replay", false, "wire-speed frame replay: memory-map the capture and stream raw frames through a lock-free ingest lane (implies -realtime; lossless, retries under backpressure)")
-	replayLoops := flag.Int("replay-loops", 1, "passes over the capture in -replay mode")
-	shards := flag.Int("shards", 1, "data-plane clustering shards (> 1 implies -realtime)")
-	ingest := flag.Int("ingest", runtime.GOMAXPROCS(0), "ingest goroutines in real-time mode")
-	ingestQueue := flag.Int("ingest-queue", 8192, "bounded ingest queue capacity in real-time mode (overflow is shed, not buffered)")
-	batchSize := flag.Int("batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /health on this address (e.g. :9100) while processing")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "seed for deterministic fault injection (used with -fault-spec)")
-	faultSpec := flag.String("fault-spec", "", "fault plan, e.g. 'drop:p=0.01;dup:p=0.005;stall:at=5s,for=2s' (see internal/faults)")
-	failOpenAfter := flag.Duration("fail-open-after", 0, "watchdog staleness bound: revert to uniform priority when no decision deploys for this long (0 = disabled)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the processing loop to this file")
-	restorePath := flag.String("restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
-	snapshotOut := flag.String("snapshot-out", "", "write a defense state snapshot to this file after the capture drains")
-	victimsK := flag.Int("victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off; adds GET /victims to -metrics-addr)")
-	victimWindowMs := flag.Int("victim-window", 1000, "victim-detection window length (ms of capture time; used with -victims)")
-	fleetNodes := flag.Int("fleet-nodes", 0, "run this many in-process fleet nodes under one global ranking coordinator (0 = single-node mode); capture traffic is partitioned across nodes by source IP hash")
-	coordinator := flag.Bool("coordinator", true, "with -fleet-nodes: keep the ranking coordinator reachable; false starts the fleet partitioned, so every node runs on its sticky local fallback ranking")
-	coordListen := flag.String("coordinator-listen", "", "run the standalone fleet ranking coordinator on this TCP address (multi-process fleet mode; no capture needed)")
-	coordAddr := flag.String("coordinator-addr", "", "run as one fleet node dialing the coordinator at this TCP address (multi-process fleet mode; use with -node-id)")
-	nodeID := flag.Uint("node-id", 1, "this node's fleet id (>= 1, unique per fleet; used with -coordinator-addr)")
-	runFor := flag.Duration("run-for", 0, "multi-process fleet modes: keep running (and polling) this long after the capture drains (0 = forever for -coordinator-listen/-chaos-proxy, exit after drain for nodes)")
-	chaosProxyAddr := flag.String("chaos-proxy", "", "run a socket-level chaos relay on this TCP address (use with -chaos-proxy-target and the -chaos-* schedule flags)")
-	chaosProxyTarget := flag.String("chaos-proxy-target", "", "the address the chaos relay forwards to (usually the coordinator)")
-	chaosCorruptEvery := flag.Int("chaos-corrupt-every", 0, "chaos relay: XOR one byte roughly every N relayed bytes (0 = off)")
-	chaosResetEvery := flag.Int("chaos-reset-every", 0, "chaos relay: hard-reset the connection (RST) roughly every N relayed bytes (0 = off)")
-	chaosDelayEvery := flag.Int("chaos-delay-every", 0, "chaos relay: stall the relay roughly every N relayed bytes (0 = off)")
-	chaosDelayFor := flag.Duration("chaos-delay-for", 50*time.Millisecond, "chaos relay: stall duration for -chaos-delay-every")
-	chaosPlan := flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule for this many connections and exit (determinism gate; uses the -chaos-* flags)")
-	chaosPlanHorizon := flag.Uint64("chaos-plan-horizon", 1<<16, "bytes of each connection direction the -chaos-plan render covers")
-	flag.Parse()
-
-	tcpChaos := fleet.ChaosSpec{
-		Seed:         *chaosSeed,
-		CorruptEvery: *chaosCorruptEvery,
-		ResetEvery:   *chaosResetEvery,
-		DelayEvery:   *chaosDelayEvery,
-		DelayFor:     *chaosDelayFor,
-	}
-	if *chaosPlan > 0 {
-		fmt.Print(tcpChaos.Plan(*chaosPlan, *chaosPlanHorizon))
-		return
-	}
-	if *chaosProxyAddr != "" {
-		if *chaosProxyTarget == "" {
-			fatal(2, "-chaos-proxy needs -chaos-proxy-target")
-		}
-		runChaosProxy(*chaosProxyAddr, *chaosProxyTarget, tcpChaos, *runFor)
-		return
-	}
-	tcpFleetMode := *coordListen != "" || *coordAddr != ""
-	if *in == "" && *restorePath == "" && !tcpFleetMode {
-		fatal(2, "missing -in capture (or -restore snapshot)")
-	}
-	if *replay && *in == "" {
-		fatal(2, "-replay needs an -in capture")
-	}
-	if *shards > 1 {
-		*realtime = true
-	}
-	if *replay {
-		*realtime = true
-		if *verdictsOut != "" || *batchSize > 1 || *faultSpec != "" || *victimsK > 0 {
-			fatal(2, "-replay streams raw frames and cannot be combined with -verdicts, -batch, -fault-spec, or -victims")
-		}
-		if *replayLoops < 1 {
-			fatal(2, "-replay-loops must be at least 1")
-		}
-	}
-	if *batchSize > 1 && *verdictsOut != "" {
-		fatal(2, "-batch cannot be combined with -verdicts: the batch path reports queue counts, not per-packet distances")
-	}
-
-	spec, err := faults.ParseSpec(*faultSpec)
-	if err != nil {
-		fatal(2, err)
-	}
-	var injector *faults.Injector
-	if !spec.Empty() {
-		injector = faults.New(*chaosSeed, spec)
-	}
-
-	// The replay path maps the capture instead of streaming it; frames
-	// stay valid until the mapping closes, which the deferred Close runs
-	// after the pipeline has drained.
-	var r *pcap.Reader
-	var mapped *pcap.MappedReader
-	switch {
-	case *replay:
-		mapped, err = pcap.OpenMapped(*in)
-		if err != nil {
-			fatal(1, err)
-		}
-		defer mapped.Close()
-	case *in != "":
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(1, err)
-		}
-		defer f.Close()
-		r, err = pcap.NewReader(f)
-		if err != nil {
-			fatal(1, err)
-		}
-	}
-
-	cfg := accturbo.HardwareConfig()
-	cfg.Clustering.MaxClusters = *clusters
-	cfg.Clustering.SliceInit = true
-	cfg.NumQueues = *clusters
-	cfg.Shards = *shards
-	cfg.PollInterval = accturbo.FromDuration(time.Duration(*pollMs) * time.Millisecond)
-	cfg.DeployDelay = cfg.PollInterval / 5
-	if *reseedMs > 0 {
-		cfg.ReseedInterval = accturbo.FromDuration(time.Duration(*reseedMs) * time.Millisecond)
-	}
-	cfg.FailOpenAfter = accturbo.FromDuration(*failOpenAfter)
-	if injector != nil {
-		// Stall windows wrap the control loop's clock: the capture
-		// timeline in replay mode, wall time since startup in real-time
-		// mode. The watchdog stays on the unwrapped clock either way.
-		cfg.WrapClock = injector.ClockWrapper()
-	}
-
-	if tcpFleetMode {
-		if *coordListen != "" && *coordAddr != "" {
-			fatal(2, "-coordinator-listen and -coordinator-addr are different processes; pick one")
-		}
-		if *fleetNodes > 0 || *replay || *verdictsOut != "" || *batchSize > 1 || *restorePath != "" || *snapshotOut != "" || *shards > 1 || *victimsK > 0 {
-			fatal(2, "multi-process fleet modes cannot be combined with -fleet-nodes, -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
-		}
-		if *coordListen != "" {
-			runTCPCoordinator(cfg, *coordListen, *metricsAddr, *runFor)
-		} else {
-			runTCPNode(cfg, *coordAddr, uint32(*nodeID), *metricsAddr, r, injector, *runFor)
-		}
-		return
-	}
-
-	if *fleetNodes > 1 {
-		if *replay || *verdictsOut != "" || *batchSize > 1 || *restorePath != "" || *snapshotOut != "" || *shards > 1 || *victimsK > 0 {
-			fatal(2, "-fleet-nodes cannot be combined with -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
-		}
-		runFleet(cfg, *fleetNodes, *coordinator, *metricsAddr, r, injector, *chaosSeed, spec)
-		return
-	}
-
-	var d *accturbo.Defense
-	if *realtime {
-		d, err = accturbo.NewRealTimeDefenseE(cfg)
-	} else {
-		d, err = accturbo.NewDefenseE(cfg)
-	}
-	if err != nil {
-		fatal(2, err)
-	}
-	defer d.Close()
-
-	// Restore must land before any traffic: the snapshot format refuses a
-	// pipeline that already has history, so a restored process resumes
-	// with the pre-save deployed decision instead of re-converging.
-	if *restorePath != "" {
-		sf, err := os.Open(*restorePath)
-		if err != nil {
-			fatal(1, err)
-		}
-		if err := d.RestoreState(sf); err != nil {
-			sf.Close()
-			fatal(1, "restore:", err)
-		}
-		sf.Close()
-		fmt.Printf("restored state from %s: %d packets observed, %d deployments, runtime config %s/%v poll\n",
-			*restorePath, d.PacketsObserved(), d.Deployments(), d.Runtime().Ranking, d.Runtime().PollInterval.Duration())
-	}
-
-	// Victim identification rides the capture chokepoint: every packet's
-	// destination key and size feed the heavy-keeper, and windows close
-	// on capture time, so the victim list is deterministic per capture.
-	var vd *accturbo.VictimDetector
-	var victimWindow, victimNextAt time.Duration
-	if *victimsK > 0 {
-		vcfg := accturbo.DefaultVictimConfig()
-		vcfg.TopK = *victimsK
-		vd, err = accturbo.NewVictimDetector(vcfg)
-		if err != nil {
-			fatal(2, err)
-		}
-		victimWindow = time.Duration(*victimWindowMs) * time.Millisecond
-		if victimWindow <= 0 {
-			fatal(2, "-victim-window must be positive")
-		}
-		victimNextAt = victimWindow
-	}
-
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fatal(1, err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := d.WriteMetrics(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		mux.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
-			h := d.Health()
-			w.Header().Set("Content-Type", "application/json")
-			if h.Degraded {
-				// Load balancers read the status line: degraded means
-				// "stop sending me traffic", even though the data plane
-				// is still forwarding fail-open.
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			if err := json.NewEncoder(w).Encode(h); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		mux.HandleFunc("/config", func(w http.ResponseWriter, req *http.Request) {
-			switch req.Method {
-			case http.MethodGet:
-				writeConfig(w, d)
-			case http.MethodPut:
-				var cp configPatch
-				if err := json.NewDecoder(req.Body).Decode(&cp); err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				patch, err := cp.toRuntimePatch()
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				if _, err := d.Reconfigure(patch); err != nil {
-					http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-					return
-				}
-				writeConfig(w, d)
-			default:
-				http.Error(w, "GET or PUT", http.StatusMethodNotAllowed)
-			}
-		})
-		mux.HandleFunc("/snapshot", func(w http.ResponseWriter, req *http.Request) {
-			if req.Method != http.MethodPost {
-				http.Error(w, "POST", http.StatusMethodNotAllowed)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Disposition", `attachment; filename="defense.snap"`)
-			if err := d.SaveState(w); err != nil {
-				// Headers are gone; the truncated body fails the snapshot's
-				// own checksum on restore, so the client still can't load it.
-				fmt.Fprintln(os.Stderr, "snapshot:", err)
-			}
-		})
-		if vd != nil {
-			mux.HandleFunc("/victims", func(w http.ResponseWriter, _ *http.Request) {
-				vs := vd.Victims()
-				if vs == nil {
-					vs = []accturbo.Victim{}
-				}
-				w.Header().Set("Content-Type", "application/json")
-				if err := json.NewEncoder(w).Encode(struct {
-					Windows uint64            `json:"windows"`
-					Victims []accturbo.Victim `json:"victims"`
-				}{vd.Windows(), vs}); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-			})
-		}
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("serving metrics on http://%s/metrics, health on /health, config on /config, snapshots on /snapshot\n", ln.Addr())
-	}
-
-	var vf *os.File
-	if *verdictsOut != "" {
-		vf, err = os.Create(*verdictsOut)
-		if err != nil {
-			fatal(1, err)
-		}
-		defer vf.Close()
-		fmt.Fprintln(vf, "time_us,src,dst,proto,sport,dport,len,cluster,queue,distance")
-	}
-
-	// next yields the capture stream with packet-level faults applied:
-	// injected drops vanish here, duplicates appear back to back, and
-	// corruption mutates headers in place — all deterministic under
-	// -chaos-seed.
-	var pending []capturedPacket
-	next := func() (capturedPacket, bool) {
-		for {
-			if r == nil { // -restore without -in: nothing to replay
-				return capturedPacket{}, false
-			}
-			if len(pending) > 0 {
-				c := pending[0]
-				pending = pending[1:]
-				return c, true
-			}
-			at, p, err := r.Next()
-			if err != nil {
-				return capturedPacket{}, false
-			}
-			if injector == nil {
-				return capturedPacket{at: at.Duration(), pkt: p}, true
-			}
-			drop, dup := injector.Mangle(p)
-			if drop {
-				continue
-			}
-			if dup {
-				c := new(packet.Packet)
-				*c = *p
-				pending = append(pending, capturedPacket{at: at.Duration(), pkt: c})
-			}
-			return capturedPacket{at: at.Duration(), pkt: p}, true
-		}
-	}
-	// victimPeaks remembers every destination ever listed and its worst
-	// window, so the end-of-run report survives an attack that ends
-	// before the capture does.
-	victimPeaks := map[uint64]accturbo.Victim{}
-	recordVictims := func() {
-		for _, v := range vd.Advance() {
-			if p, ok := victimPeaks[v.Key]; !ok || v.Share > p.Share {
-				old := victimPeaks[v.Key]
-				if v.Windows < old.Windows {
-					v.Windows = old.Windows
-				}
-				victimPeaks[v.Key] = v
-			} else if v.Windows > p.Windows {
-				p.Windows = v.Windows
-				victimPeaks[v.Key] = p
-			}
-		}
-	}
-	if vd != nil {
-		// Every non-replay path pulls packets through next(), so tapping
-		// it here covers deterministic, batched, and real-time modes
-		// alike. Window boundaries advance on capture time.
-		inner := next
-		next = func() (capturedPacket, bool) {
-			c, ok := inner()
-			if !ok {
-				return c, ok
-			}
-			for victimNextAt <= c.at {
-				recordVictims()
-				victimNextAt += victimWindow
-			}
-			vd.Observe(accturbo.DstKey(c.pkt), uint64(c.pkt.Length))
-			return c, true
-		}
-	}
-
-	// queueCounts[q] accumulates packets scheduled into queue q.
-	queueCounts := make([]atomic.Uint64, *clusters)
-	var vfMu sync.Mutex
-	processOne := func(c capturedPacket) {
-		v := d.Process(c.at, c.pkt)
-		if v.Queue >= 0 && v.Queue < len(queueCounts) {
-			queueCounts[v.Queue].Add(1)
-		}
-		if vf != nil {
-			vfMu.Lock()
-			fmt.Fprintf(vf, "%d,%s,%s,%d,%d,%d,%d,%d,%d,%.0f\n",
-				c.at.Microseconds(), c.pkt.SrcIP, c.pkt.DstIP, uint8(c.pkt.Protocol),
-				c.pkt.SrcPort, c.pkt.DstPort, c.pkt.Length, v.Cluster, v.Queue, v.Distance)
-			vfMu.Unlock()
-		}
-	}
-
-	if *cpuProfile != "" {
-		pf, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(1, err)
-		}
-		defer pf.Close()
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			fatal(1, err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	n := 0
-	start := time.Now()
-	useBatch := *batchSize > 1
-	// The batch and bounded-ingest paths skip per-packet verdicts; the
-	// scheduling distribution is recovered from the data plane's routed
-	// counters afterwards.
-	fromRouted := false
-	var replayRetries, replayRejected uint64
-	switch {
-	case *replay:
-		// Wire-speed frame replay: raw frames stream zero-copy out of
-		// the mapped capture into an exclusive SPSC lane, with batched
-		// publish; the per-shard consumers run the fused decode. A full
-		// ring flushes and yields (the consumers need the core) rather
-		// than shedding, so the measured rate is lossless.
-		fromRouted = true
-		if err := d.EnableIngest(*ingestQueue, 1); err != nil {
-			fatal(2, err)
-		}
-		lane := d.Lane(0)
-		for loop := 0; loop < *replayLoops; loop++ {
-			mapped.Reset()
-			for {
-				_, frame, err := mapped.NextFrame()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					fatal(1, err)
-				}
-			offer:
-				for {
-					switch lane.OfferFrame(frame) {
-					case accturbo.OfferAccepted:
-						n++
-						break offer
-					case accturbo.OfferRejected:
-						replayRejected++
-						break offer
-					case accturbo.OfferFull:
-						replayRetries++
-						lane.Flush()
-						runtime.Gosched()
-					default: // OfferClosed: nothing more will be accepted
-						fatal(1, "ingest closed mid-replay")
-					}
-				}
-			}
-		}
-		lane.Flush()
-	case *realtime && useBatch:
-		// Batched real-time ingest: whole batches fan out to the
-		// workers, so each worker amortizes the shard locks and counter
-		// flushes over *batchSize packets per ObserveBatch call.
-		fromRouted = true
-		workers := *ingest
-		if workers < 1 {
-			workers = 1
-		}
-		feed := make(chan []*packet.Packet, 4*workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for b := range feed {
-					d.ObserveBatch(0, b, nil)
-				}
-			}()
-		}
-		buf := make([]*packet.Packet, 0, *batchSize)
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			buf = append(buf, c.pkt)
-			n++
-			if len(buf) == *batchSize {
-				feed <- buf
-				buf = make([]*packet.Packet, 0, *batchSize)
-			}
-		}
-		if len(buf) > 0 {
-			feed <- buf
-		}
-		close(feed)
-		wg.Wait()
-	case useBatch:
-		// Batched deterministic replay: the pipeline clock advances to
-		// each batch's first timestamp, so control-loop ticks quantize
-		// to batch boundaries (the amortization trade-off).
-		fromRouted = true
-		buf := make([]*packet.Packet, 0, *batchSize)
-		var batchAt time.Duration
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			if len(buf) == 0 {
-				batchAt = c.at
-			}
-			buf = append(buf, c.pkt)
-			n++
-			if len(buf) == *batchSize {
-				d.ObserveBatch(batchAt, buf, nil)
-				buf = buf[:0]
-			}
-		}
-		if len(buf) > 0 {
-			d.ObserveBatch(batchAt, buf, nil)
-		}
-	case *realtime && *verdictsOut == "":
-		// Per-packet real-time ingest through the pipeline's bounded
-		// queue: overflow is shed (counted, reported below) instead of
-		// buffering without bound when the capture outruns the pipeline.
-		fromRouted = true
-		workers := *ingest
-		if workers < 1 {
-			workers = 1
-		}
-		if err := d.EnableIngest(*ingestQueue, workers); err != nil {
-			fatal(2, err)
-		}
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			d.Offer(c.pkt)
-			n++
-		}
-	case *realtime:
-		// Per-packet real-time ingest with verdicts: the CSV needs every
-		// packet's verdict, so this path blocks on a bounded channel
-		// instead of shedding.
-		workers := *ingest
-		if workers < 1 {
-			workers = 1
-		}
-		feed := make(chan capturedPacket, 1024)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for c := range feed {
-					processOne(c)
-				}
-			}()
-		}
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			feed <- c
-			n++
-		}
-		close(feed)
-		wg.Wait()
-	default:
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			processOne(c)
-			n++
-		}
-	}
-	// Close drains the bounded ingest queue (if enabled) so routed
-	// counters below are complete; the deferred Close becomes a no-op.
-	d.Close()
-	elapsed := time.Since(start)
-	if *snapshotOut != "" {
-		sf, err := os.Create(*snapshotOut)
-		if err != nil {
-			fatal(1, err)
-		}
-		if err := d.SaveState(sf); err != nil {
-			fatal(1, "snapshot:", err)
-		}
-		if err := sf.Close(); err != nil {
-			fatal(1, err)
-		}
-		fmt.Printf("state snapshot written to %s\n", *snapshotOut)
-	}
-	if fromRouted {
-		for q, c := range d.Metrics().RoutedPkts {
-			if q < len(queueCounts) {
-				queueCounts[q].Store(c)
-			}
-		}
-	}
-
-	fmt.Printf("processed %d packets from %s\n", n, *in)
-	if *replay {
-		rate := float64(n) / elapsed.Seconds()
-		fmt.Printf("replay mode: %d frames over %d pass(es) in %.2fs — %.2f Mpps (%d malformed rejected, %d backpressure retries)\n",
-			n, *replayLoops, elapsed.Seconds(), rate/1e6, replayRejected, replayRetries)
-	}
-	if *realtime {
-		rate := float64(n) / elapsed.Seconds()
-		fmt.Printf("real-time mode: %d shards, %d ingest goroutines, %.0f pkts/s wall, %d deployments, %d observed, %d shed\n",
-			d.Shards(), *ingest, rate, d.Deployments(), d.PacketsObserved(), d.IngestShed())
-	}
-	if injector != nil {
-		fmt.Printf("chaos (seed %d, spec %q): %d dropped, %d duplicated, %d corrupted, %d polls suppressed, %d callbacks delayed\n",
-			*chaosSeed, spec.String(), injector.PacketsDropped.Value(), injector.PacketsDuplicated.Value(),
-			injector.PacketsCorrupted.Value(), injector.PollsSuppressed.Value(), injector.CallbacksDelayed.Value())
-	}
-	if h := d.Health(); cfg.FailOpenAfter > 0 && (h.Control.FailOpenEngagements > 0 || h.Control.PanicsRecovered > 0) {
-		fmt.Printf("resilience: %d fail-open engagements, %d watchdog trips, %d panics recovered\n",
-			h.Control.FailOpenEngagements, h.Control.WatchdogTrips, h.Control.PanicsRecovered)
-	}
-	if vd != nil {
-		recordVictims() // close the trailing partial window
-		fmt.Printf("\nvictim aggregates (heavy-keeper, %d windows of %v):\n", vd.Windows(), victimWindow)
-		if len(victimPeaks) == 0 {
-			fmt.Println("  none listed")
-		}
-		keys := make([]uint64, 0, len(victimPeaks))
-		for k := range victimPeaks {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			return victimPeaks[keys[i]].Share > victimPeaks[keys[j]].Share
-		})
-		for _, k := range keys {
-			v := victimPeaks[k]
-			fmt.Printf("  dst %s: peak %8d bytes/window (%5.1f%% share), listed %d window(s)\n",
-				accturbo.V4(byte(k>>24), byte(k>>16), byte(k>>8), byte(k)),
-				v.Bytes, 100*v.Share, v.Windows)
-		}
-	}
-	fmt.Println("\nfinal aggregates (operator view):")
-	for _, info := range d.Clusters() {
-		fmt.Printf("  cluster %d -> queue %d: %8d pkts total, size %.0f\n",
-			info.ID, d.QueueOf(info.ID), info.TotalPackets, info.Size)
-	}
-	fmt.Println("\nscheduling distribution:")
-	for q := range queueCounts {
-		c := queueCounts[q].Load()
-		pct := 0.0
-		if n > 0 {
-			pct = 100 * float64(c) / float64(n)
-		}
-		fmt.Printf("  queue %d (priority %d): %8d pkts (%5.1f%%)\n", q, q, c, pct)
-	}
-	if vf != nil {
-		fmt.Printf("\nper-packet verdicts written to %s\n", *verdictsOut)
-	}
-}
-
-// runFleet is the -fleet-nodes path: N full pipelines over one
-// in-process coordinator, the capture partitioned across them by source
-// IP hash — each node sees only its ingress slice of the traffic, the
-// way a distributed-source attack spreads over real vantage points.
-// With -coordinator=false the fleet starts partitioned: every node
-// rides its sticky local fallback ranking, which is the degraded mode
-// an operator would see during a real coordinator outage.
-func runFleet(cfg accturbo.Config, nodes int, coordinatorUp bool, metricsAddr string,
-	r *pcap.Reader, injector *faults.Injector, chaosSeed uint64, spec faults.Spec) {
-	f, err := accturbo.NewFleetE(accturbo.FleetConfig{Nodes: nodes, Node: cfg})
-	if err != nil {
-		fatal(2, err)
-	}
-	defer f.Close()
-	if !coordinatorUp {
-		f.SetLink(false)
-	}
-
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			fatal(1, err)
-		}
-		mux := http.NewServeMux()
-		// Fleet /health: every node's snapshot plus the coordinator's
-		// counters in one document; 503 while any node is degraded.
-		mux.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
-			type nodeHealth struct {
-				Node   int             `json:"node"`
-				Health accturbo.Health `json:"health"`
-			}
-			var out struct {
-				Nodes       []nodeHealth                   `json:"nodes"`
-				Coordinator accturbo.FleetCoordinatorStats `json:"coordinator"`
-			}
-			degraded := false
-			for n := 0; n < f.Nodes(); n++ {
-				h := f.Node(n).Health()
-				degraded = degraded || h.Degraded
-				out.Nodes = append(out.Nodes, nodeHealth{Node: n, Health: h})
-			}
-			out.Coordinator = f.CoordinatorStats()
-			w.Header().Set("Content-Type", "application/json")
-			if degraded {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			json.NewEncoder(w).Encode(out)
-		})
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("serving fleet health on http://%s/health\n", ln.Addr())
-	}
-
-	hashNode := func(p *packet.Packet) int {
-		h := fnv.New32a()
-		a := p.SrcIP.As4()
-		h.Write(a[:])
-		return int(h.Sum32()) % nodes
-	}
-
-	perNode := make([]int, nodes)
-	pollAll := func() {
-		for n := 0; n < f.Nodes(); n++ {
-			f.Node(n).Poll()
-		}
-	}
-	total := 0
-	var pending []capturedPacket
-	for r != nil {
-		var c capturedPacket
-		if len(pending) > 0 {
-			c, pending = pending[0], pending[1:]
-		} else {
-			at, p, err := r.Next()
-			if err != nil {
-				break
-			}
-			c = capturedPacket{at: at.Duration(), pkt: p}
-			if injector != nil {
-				drop, dup := injector.Mangle(p)
-				if drop {
-					continue
-				}
-				if dup {
-					d := new(packet.Packet)
-					*d = *p
-					pending = append(pending, capturedPacket{at: c.at, pkt: d})
-				}
-			}
-		}
-		n := hashNode(c.pkt)
-		f.Node(n).Process(c.at, c.pkt)
-		perNode[n]++
-		total++
-		// Drive the control loops at a data-driven cadence: a capture
-		// drains far faster than wall-clock poll intervals, so without
-		// this a short replay would finish before the first poll.
-		if total%5000 == 0 {
-			pollAll()
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	// Let the last window rank and the coordinator's broadcast land.
-	for round := 0; round < 3; round++ {
-		pollAll()
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	fmt.Printf("fleet mode: %d nodes, %d packets partitioned by source IP\n", nodes, total)
-	if injector != nil {
-		fmt.Printf("chaos (seed %d, spec %q): %d dropped, %d duplicated, %d corrupted\n",
-			chaosSeed, spec.String(), injector.PacketsDropped.Value(),
-			injector.PacketsDuplicated.Value(), injector.PacketsCorrupted.Value())
-	}
-	for n := 0; n < f.Nodes(); n++ {
-		h := f.Node(n).Health()
-		st := f.NodeStats(n)
-		fmt.Printf("  node %d: %8d pkts, ranking source %-20s degraded=%-5v fleet/local polls %d/%d\n",
-			n, perNode[n], h.Control.RankSource, h.Degraded, st.FleetPolls, st.LocalPolls)
-	}
-	cs := f.CoordinatorStats()
-	fmt.Printf("coordinator: %d nodes reporting, epoch %d, %d merges, %d rejected frames\n",
-		cs.Nodes, cs.Epoch, cs.Merges, cs.Rejected)
-
-	fmt.Println("\nfleet-merged aggregates (global operator view):")
-	merged := f.MergedClusters()
-	var queueOf []int
-	if dec := f.LastGlobalDecision(); dec != nil {
-		queueOf = dec.QueueOf
-	}
-	for _, info := range merged {
-		q := "-"
-		if info.ID < len(queueOf) {
-			q = fmt.Sprint(queueOf[info.ID])
-		}
-		fmt.Printf("  slot %d -> queue %s: %8d pkts this window, size %.0f\n",
-			info.ID, q, info.Packets, info.Size)
-	}
-	if len(merged) == 0 {
-		fmt.Println("  (no merged view: no node reached the coordinator)")
-	}
-}
-
-// waitRunFor blocks for runFor, or forever when runFor is zero (the
-// process is expected to be killed — the smoke-test shape).
-func waitRunFor(runFor time.Duration) {
-	if runFor > 0 {
-		time.Sleep(runFor)
-		return
-	}
-	select {}
-}
-
-// runTCPCoordinator is the -coordinator-listen path: the standalone
-// ranking coordinator of a multi-process fleet. Its /health reports the
-// merge counters plus each connected node's last-seen age, so an
-// operator can spot a silent vantage point before its snapshots stop
-// mattering.
-func runTCPCoordinator(cfg accturbo.Config, listen, metricsAddr string, runFor time.Duration) {
-	c, err := accturbo.NewFleetTCPCoordinator(accturbo.FleetTCPCoordinatorConfig{
-		ListenAddr: listen,
-		Node:       cfg,
-	})
-	if err != nil {
-		fatal(1, err)
-	}
-	defer c.Close()
-	fmt.Printf("fleet coordinator listening on %s\n", c.Addr())
-
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			fatal(1, err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
-			type nodeAge struct {
-				Node       uint32  `json:"node"`
-				LastSeenMs float64 `json:"last_seen_ms"`
-			}
-			ages := c.NodeAges()
-			nodes := make([]nodeAge, 0, len(ages))
-			for id, age := range ages {
-				nodes = append(nodes, nodeAge{Node: id, LastSeenMs: float64(age) / float64(time.Millisecond)})
-			}
-			sort.Slice(nodes, func(i, j int) bool { return nodes[i].Node < nodes[j].Node })
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]any{
-				"nodes":       nodes,
-				"coordinator": c.Stats(),
-				"transport":   c.TransportStats(),
-			})
-		})
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("serving coordinator health on http://%s/health\n", ln.Addr())
-	}
-
-	waitRunFor(runFor)
-	cs, ts := c.Stats(), c.TransportStats()
-	fmt.Printf("coordinator: %d nodes reporting, epoch %d, %d merges, %d rejected frames\n",
-		cs.Nodes, cs.Epoch, cs.Merges, cs.Rejected)
-	fmt.Printf("transport: %d accepted, %d frames in, %d out, %d CRC resets, %d shed, %d drops (no peer %d, queue full %d)\n",
-		ts.Accepted, ts.FramesIn, ts.FramesOut, ts.CRCResets, ts.PeersShed,
-		ts.DropsNoPeer+ts.DropsQueueFull, ts.DropsNoPeer, ts.DropsQueueFull)
-}
-
-// runTCPNode is the -coordinator-addr path: one vantage-point node of a
-// multi-process fleet. The capture (when given) replays through the
-// node's own pipeline; afterwards the node keeps polling for -run-for,
-// so its snapshots, heartbeats, and fallback/recovery transitions stay
-// observable on /health while a smoke test kills and restarts the
-// coordinator around it.
-func runTCPNode(cfg accturbo.Config, addr string, id uint32, metricsAddr string,
-	r *pcap.Reader, injector *faults.Injector, runFor time.Duration) {
-	n, err := accturbo.NewFleetTCP(accturbo.FleetTCPConfig{
-		CoordinatorAddr: addr,
-		NodeID:          id,
-		Node:            cfg,
-	})
-	if err != nil {
-		fatal(1, err)
-	}
-	defer n.Close()
-	d := n.Defense()
-	fmt.Printf("fleet node %d dialing coordinator at %s\n", id, addr)
-
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			fatal(1, err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := d.WriteMetrics(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		mux.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
-			h := d.Health()
-			w.Header().Set("Content-Type", "application/json")
-			if h.Degraded {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			json.NewEncoder(w).Encode(map[string]any{
-				"node":      id,
-				"connected": n.Connected(),
-				"health":    h,
-				"ranker":    n.Stats(),
-				"transport": n.TransportStats(),
-			})
-		})
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("serving node health on http://%s/health\n", ln.Addr())
-	}
-
-	// Replay the capture through this node at the same data-driven poll
-	// cadence as -fleet-nodes, with packet-level chaos when asked.
-	total := 0
-	var pending []capturedPacket
-	for r != nil {
-		var c capturedPacket
-		if len(pending) > 0 {
-			c, pending = pending[0], pending[1:]
-		} else {
-			at, p, err := r.Next()
-			if err != nil {
-				break
-			}
-			c = capturedPacket{at: at.Duration(), pkt: p}
-			if injector != nil {
-				drop, dup := injector.Mangle(p)
-				if drop {
-					continue
-				}
-				if dup {
-					cp := new(packet.Packet)
-					*cp = *p
-					pending = append(pending, capturedPacket{at: c.at, pkt: cp})
-				}
-			}
-		}
-		d.Process(c.at, c.pkt)
-		total++
-		if total%5000 == 0 {
-			d.Poll()
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
-	// Keep the control loop visibly alive: each tick publishes a
-	// snapshot (and applies or ages out fleet deployments), which is
-	// what lets /health show fallback and recovery in real time.
-	deadline := time.Now().Add(runFor)
-	for runFor > 0 && time.Now().Before(deadline) {
-		d.Poll()
-		time.Sleep(20 * time.Millisecond)
-	}
-	for round := 0; round < 3; round++ {
-		d.Poll()
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	h := d.Health()
-	st := n.Stats()
-	ts := n.TransportStats()
-	fmt.Printf("node %d: %d pkts, ranking source %s, degraded=%v, fleet/local polls %d/%d\n",
-		id, total, h.Control.RankSource, h.Degraded, st.FleetPolls, st.LocalPolls)
-	fmt.Printf("transport: %d dials, %d connects, %d frames out, %d in, %d CRC resets, %d drops (disconnected %d, queue full %d)\n",
-		ts.Dials, ts.Connects, ts.FramesOut, ts.FramesIn, ts.CRCResets,
-		ts.DropsDisconnected+ts.DropsQueueFull, ts.DropsDisconnected, ts.DropsQueueFull)
-}
-
-// runChaosProxy is the -chaos-proxy path: a deterministic socket-level
-// fault injector relaying node connections to the coordinator.
-func runChaosProxy(listen, target string, spec fleet.ChaosSpec, runFor time.Duration) {
-	p, err := fleet.NewChaosProxy(listen, target, spec)
-	if err != nil {
-		fatal(1, err)
-	}
-	defer p.Close()
-	fmt.Printf("chaos proxy on %s -> %s (seed %d, corrupt-every %d, reset-every %d, delay-every %d for %s)\n",
-		p.Addr(), target, spec.Seed, spec.CorruptEvery, spec.ResetEvery, spec.DelayEvery, spec.DelayFor)
-	waitRunFor(runFor)
-	st := p.Stats()
-	fmt.Printf("chaos proxy: %d connections, %d bytes forwarded, %d corrupted, %d resets, %d delays, %d refused while partitioned\n",
-		st.Connections, st.BytesForwarded, st.BytesCorrupted, st.ResetsInjected, st.DelaysInjected, st.PartitionRefused)
 }

@@ -13,41 +13,38 @@ import (
 )
 
 // The ingest stage is the bounded hand-off between capture threads and
-// the data plane, rebuilt on lock-free SPSC rings (internal/ring): one
-// type-specialized lanes × shards ring matrix per producer arm, where
-// every ring has exactly one producer (a lane) and one consumer (that
-// shard's drain goroutine). Packets demux to their flow-hash shard at
-// offer time, so a shard's consumer feeds its clusterer directly with
-// ObserveShardPackets / ObserveShardFrames — no grouping pass, no
-// shared queue, and (unlike the old channel + worker pool) no lock
-// anywhere on the hot path.
+// the data plane, built on lock-free SPSC rings (internal/ring): one
+// lanes × shards matrix of compact feature records, where every ring
+// has exactly one producer (a lane) and one consumer (that shard's
+// drain goroutine). Packets demux to their flow-hash shard and are
+// reduced to their clustering features at offer time, so a shard's
+// consumer feeds its clusterer directly with ObserveShardFrames — no
+// grouping pass, no shared queue, no lock anywhere on the hot path.
 //
 // Two producer APIs share the matrix:
 //
-//   - Offer (legacy, any goroutine): round-robins over lanes under a
-//     per-lane mutex. The mutex only serializes co-producers on one
-//     lane — consumers never touch it — and each item is published
-//     individually, so Offer keeps its "accepted means it will be
-//     classified" contract.
+//   - Offer (any goroutine): extracts a decoded packet's features and
+//     round-robins over lanes under a per-lane mutex. The mutex only
+//     serializes co-producers on one lane — consumers never touch it —
+//     and each record is published individually, so Offer keeps its
+//     "accepted means it will be classified" contract.
 //   - Lane/OfferFrame (wire speed, one goroutine per lane): claims a
 //     lane exclusively, decodes each frame's features while its header
-//     is cache-hot, and pushes the compact records with batched
-//     publish — the path the -replay pipeline and any packet-capture
-//     loop use.
+//     is cache-hot, and pushes the records with batched publish — the
+//     path the -replay pipeline and any packet-capture loop use.
+//
+// Like the hardware pipeline, ingest carries header feature values
+// only: no packet struct and no ground-truth label crosses the rings,
+// so all ingested traffic counts as benign in the label telemetry.
 //
 // When a ring is full the offer sheds (counted, never blocking), so
-// overload degrades visibly exactly as before.
+// overload degrades visibly.
 type ingestStage struct {
-	d *Defense
-	// Each producer arm gets its own type-specialized [lane][shard] ring
-	// matrix: legacy Offer queues 8-byte packet pointers, the wire path
-	// queues compact feature records. No union item, no per-item arm
-	// branch on the consumer, and each arm's slots are exactly its size.
-	pktRings   [][]*ring.SPSC[*Packet]
-	frameRings [][]*ring.SPSC[core.FrameFeatures]
-	lanes      []ingestLaneState
-	wake       []chan struct{} // per-shard consumer doorbells
-	wg         sync.WaitGroup
+	d     *Defense
+	rings [][]*ring.SPSC[core.FrameFeatures] // [lane][shard]
+	lanes []ingestLaneState
+	wake  []chan struct{} // per-shard consumer doorbells
+	wg    sync.WaitGroup
 
 	capacity int // sum of ring capacities, reported by Health
 	feats    FeatureSet
@@ -55,16 +52,16 @@ type ingestStage struct {
 	rejected telemetry.Counter
 
 	// closed fails new offers before the rings are torn down. An atomic
-	// instead of the old RWMutex: Offer's hot path pays one load, not a
-	// reader lock shared with every other capture goroutine.
+	// instead of a RWMutex: Offer's hot path pays one load, not a reader
+	// lock shared with every other capture goroutine.
 	closed atomic.Bool
-	next   atomic.Uint64 // legacy Offer's round-robin lane cursor
+	next   atomic.Uint64 // Offer's round-robin lane cursor
 }
 
 // ingestLaneState is the per-lane producer bookkeeping. mu serializes
-// legacy co-producers on the lane; wired marks the lane claimed by an
+// Offer's co-producers on the lane; wired marks the lane claimed by an
 // exclusive wire-speed producer (a one-way transition made under mu, so
-// legacy offers never race a wire producer on the same ring).
+// Offer never races a wire producer on the same ring).
 type ingestLaneState struct {
 	mu    sync.Mutex
 	wired bool
@@ -83,18 +80,14 @@ const laneFlushEvery = 64
 // EnableIngest starts the bounded ingest stage on a real-time pipeline:
 // `lanes` producer lanes feed one drain goroutine per data-plane shard
 // through single-producer/single-consumer rings, with the given total
-// buffer capacity split evenly across each producer arm's lane×shard
-// matrix (each ring rounds up to a power of two and the packet and
-// frame arms are separate matrices, so the effective total — reported
+// buffer capacity split evenly across the lane×shard ring matrix (each
+// ring rounds up to a power of two, so the effective total — reported
 // by Health — may exceed the request). After this, feed packets with Offer
 // or claim a lane for raw frames with Lane. Close drains the stage
 // before stopping the control loop. It errors in deterministic mode
 // (whose single-threaded Process needs no queue) and when called twice.
-//
-// The second parameter was the drain-pool size when ingest was a shared
-// channel; consumers are now fixed at one per shard, and the value
-// instead sets the producer lane count (more lanes, less co-producer
-// serialization on Offer).
+// Consumers are fixed at one per shard; more lanes mean less
+// co-producer serialization on Offer.
 func (d *Defense) EnableIngest(capacity, lanes int) error {
 	if d.clock == nil {
 		return fmt.Errorf("accturbo: EnableIngest requires the real-time pipeline")
@@ -108,21 +101,17 @@ func (d *Defense) EnableIngest(capacity, lanes int) error {
 		perRing = 2
 	}
 	in := &ingestStage{
-		d:          d,
-		pktRings:   make([][]*ring.SPSC[*Packet], lanes),
-		frameRings: make([][]*ring.SPSC[core.FrameFeatures], lanes),
-		lanes:      make([]ingestLaneState, lanes),
-		wake:       make([]chan struct{}, shards),
-		feats:      d.dp.Config().Clustering.Features,
+		d:     d,
+		rings: make([][]*ring.SPSC[core.FrameFeatures], lanes),
+		lanes: make([]ingestLaneState, lanes),
+		wake:  make([]chan struct{}, shards),
+		feats: d.dp.Config().Clustering.Features,
 	}
-	for l := 0; l < lanes; l++ {
-		in.pktRings[l] = make([]*ring.SPSC[*Packet], shards)
-		in.frameRings[l] = make([]*ring.SPSC[core.FrameFeatures], shards)
-		for s := 0; s < shards; s++ {
-			pr := ring.New[*Packet](perRing)
-			fr := ring.New[core.FrameFeatures](perRing)
-			in.pktRings[l][s], in.frameRings[l][s] = pr, fr
-			in.capacity += pr.Cap() + fr.Cap()
+	for l := range in.rings {
+		in.rings[l] = make([]*ring.SPSC[core.FrameFeatures], shards)
+		for s := range in.rings[l] {
+			in.rings[l][s] = ring.New[core.FrameFeatures](perRing)
+			in.capacity += in.rings[l][s].Cap()
 		}
 	}
 	for s := range in.wake {
@@ -138,11 +127,13 @@ func (d *Defense) EnableIngest(capacity, lanes int) error {
 	return nil
 }
 
-// Offer hands a packet to the bounded ingest stage without blocking:
-// it returns false — and counts the packet as shed — when the packet's
-// shard ring is full (backpressure) or the stage is already closed.
-// Safe from any goroutine. Callers that must not lose packets should
-// treat false as "slow down", not "retry immediately".
+// Offer hands a packet's clustering features to the bounded ingest
+// stage without blocking: it returns false — and counts the packet as
+// shed — when the packet's shard ring is full (backpressure) or the
+// stage is already closed. The packet is not retained, and its Label is
+// not carried: ingested traffic counts as benign, as on hardware. Safe
+// from any goroutine. Callers that must not lose packets should treat
+// false as "slow down", not "retry immediately".
 func (d *Defense) Offer(p *Packet) bool {
 	in := d.ingest.Load()
 	if in == nil {
@@ -153,6 +144,8 @@ func (d *Defense) Offer(p *Packet) bool {
 		return false
 	}
 	si := d.dp.ShardOf(p)
+	ff := core.FrameFeatures{Size: uint32(p.Length)}
+	in.feats.Extract(p, ff.Vals[:len(in.feats)])
 	lanes := uint64(len(in.lanes))
 	start := in.next.Add(1)
 	for i := uint64(0); i < lanes; i++ {
@@ -163,7 +156,7 @@ func (d *Defense) Offer(p *Packet) bool {
 			lane.mu.Unlock()
 			continue
 		}
-		ok := in.pktRings[l][si].TryPush(p)
+		ok := in.rings[l][si].TryPush(ff)
 		lane.mu.Unlock()
 		if ok {
 			in.signal(si)
@@ -208,7 +201,7 @@ type IngestLane struct {
 }
 
 // Lane claims producer lane l (0 <= l < the lane count given to
-// EnableIngest) for exclusive wire-speed use. From then on legacy Offer
+// EnableIngest) for exclusive wire-speed use. From then on Offer
 // skips that lane; claiming every lane leaves Offer nowhere to queue,
 // so mixed deployments should reserve at least one unclaimed lane.
 // Claiming the same lane twice returns the same ring set — the caller
@@ -225,12 +218,13 @@ func (d *Defense) Lane(l int) *IngestLane {
 	lane.mu.Lock()
 	lane.wired = true
 	lane.mu.Unlock()
+	shards := len(in.rings[l])
 	return &IngestLane{
 		in:      in,
-		rings:   in.frameRings[l],
-		pending: make([]int32, len(in.frameRings[l])),
-		dirty:   make([]int32, 0, len(in.frameRings[l])),
-		isDirty: make([]bool, len(in.frameRings[l])),
+		rings:   in.rings[l],
+		pending: make([]int32, shards),
+		dirty:   make([]int32, 0, shards),
+		isDirty: make([]bool, shards),
 	}
 }
 
@@ -294,16 +288,14 @@ func (in *ingestStage) signal(si int) {
 	}
 }
 
-// drainShard is shard si's consumer: it sweeps every lane's packet and
-// frame rings for the shard and feeds the shard's clusterer through the
-// per-shard batch entry points — each arm pops straight into its typed
-// batch buffer, no partition pass. It parks on the shard doorbell when
-// all rings are empty (with a timer backstop for publishes that raced
-// the park) and exits once every ring is closed and drained.
+// drainShard is shard si's consumer: it sweeps every lane's ring for
+// the shard, popping straight into one batch buffer that feeds the
+// shard's clusterer through ObserveShardFrames. It parks on the shard
+// doorbell when all rings are empty (with a timer backstop for publishes
+// that raced the park) and exits once every ring is closed and drained.
 func (in *ingestStage) drainShard(si int) {
 	defer in.wg.Done()
-	pkts := make([]*Packet, ingestBatch)
-	frames := make([]core.FrameFeatures, ingestBatch)
+	batch := make([]core.FrameFeatures, ingestBatch)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
@@ -312,26 +304,14 @@ func (in *ingestStage) drainShard(si int) {
 		// close only after their final publish).
 		allClosed := true
 		swept := 0
-		for l := range in.pktRings {
-			pr, fr := in.pktRings[l][si], in.frameRings[l][si]
-			if !pr.Closed() || !fr.Closed() {
+		for _, lane := range in.rings {
+			r := lane[si]
+			if !r.Closed() {
 				allClosed = false
 			}
-			for {
-				n := pr.PopBatch(pkts)
-				if n == 0 {
-					break
-				}
+			for n := r.PopBatch(batch); n > 0; n = r.PopBatch(batch) {
 				swept += n
-				in.d.dp.ObserveShardPackets(si, pkts[:n], nil)
-			}
-			for {
-				n := fr.PopBatch(frames)
-				if n == 0 {
-					break
-				}
-				swept += n
-				in.d.dp.ObserveShardFrames(si, frames[:n], nil)
+				in.d.dp.ObserveShardFrames(si, batch[:n], nil)
 			}
 		}
 		if swept > 0 {
@@ -354,37 +334,34 @@ func (in *ingestStage) drainShard(si int) {
 	}
 }
 
-// depth reports the number of queued, unconsumed items across the ring
-// matrix (a point-in-time estimate, like the channel length it
-// replaces).
+// depth reports the number of queued, unconsumed records across the
+// ring matrix (a point-in-time estimate).
 func (in *ingestStage) depth() int {
 	n := 0
-	for l := range in.pktRings {
-		for s := range in.pktRings[l] {
-			n += in.pktRings[l][s].Len() + in.frameRings[l][s].Len()
+	for _, lane := range in.rings {
+		for _, r := range lane {
+			n += r.Len()
 		}
 	}
 	return n
 }
 
 // close tears the stage down: fail new offers, publish any pending
-// pushes (each lane's mutex fences in-flight legacy offers; wire lanes
-// must already have stopped per the IngestLane contract), close every
-// ring, and wait for the consumers to drain. Idempotent.
+// pushes (each lane's mutex fences in-flight Offer calls; wire lanes
+// must already have stopped per the IngestLane contract, and the
+// publish rescues a wire lane's un-Flushed tail), close every ring, and
+// wait for the consumers to drain. Idempotent.
 func (in *ingestStage) close() {
 	if in.closed.Swap(true) {
 		return
 	}
-	for l := range in.lanes {
-		lane := &in.lanes[l]
-		lane.mu.Lock()
-		for s := range in.pktRings[l] {
-			in.pktRings[l][s].Publish()
-			in.pktRings[l][s].Close()
-			in.frameRings[l][s].Publish() // rescue a wire lane's un-Flushed tail
-			in.frameRings[l][s].Close()
+	for l, lane := range in.rings {
+		in.lanes[l].mu.Lock()
+		for _, r := range lane {
+			r.Publish()
+			r.Close()
 		}
-		lane.mu.Unlock()
+		in.lanes[l].mu.Unlock()
 	}
 	for si := range in.wake {
 		in.signal(si)

@@ -28,8 +28,8 @@ func benchDefense(b *testing.B, shards, capacity, lanes int) *Defense {
 	return d
 }
 
-// BenchmarkIngestOffer is the legacy producer API: decoded packets
-// through the per-lane ring under the lane mutex.
+// BenchmarkIngestOffer is the decoded-packet producer API: features
+// extracted at the producer into the per-lane ring under the lane mutex.
 func BenchmarkIngestOffer(b *testing.B) {
 	d := benchDefense(b, 1, 1<<13, 1)
 	defer d.Close()

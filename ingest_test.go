@@ -1,6 +1,7 @@
 package accturbo
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -111,7 +112,7 @@ func frameCorpus(t testing.TB, n int) [][]byte {
 // TestIngestLaneFrames drives the wire-speed frame path end to end:
 // frames offered on an exclusive lane (batched publish plus a final
 // Flush) are all classified, malformed bytes are rejected and counted,
-// and legacy Offer keeps working on the unclaimed lane alongside.
+// and Offer keeps working on the unclaimed lane alongside.
 func TestIngestLaneFrames(t *testing.T) {
 	d := NewRealTimeDefense(realtimeCfg(4))
 	if err := d.EnableIngest(4096, 2); err != nil {
@@ -163,8 +164,46 @@ func TestIngestLaneFrames(t *testing.T) {
 	}
 }
 
+// TestOfferMatchesOfferFrame: Offer extracts features on the producer
+// side into the same ring records OfferFrame decodes from the wire, so
+// one unlabeled stream fed through either producer API must leave the
+// clusterer in exactly the same state.
+func TestOfferMatchesOfferFrame(t *testing.T) {
+	const n = 3000
+	cfg := realtimeCfg(1)
+	cfg.ReseedInterval = 0
+	cfg.PollInterval = FromDuration(time.Hour) // no poll resets the window counters
+	viaOffer := NewRealTimeDefense(cfg)
+	viaFrame := NewRealTimeDefense(cfg)
+	for _, d := range []*Defense{viaOffer, viaFrame} {
+		if err := d.EnableIngest(n, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if !viaOffer.Offer(benignPacket(i)) {
+			t.Fatalf("Offer %d shed", i)
+		}
+	}
+	lane := viaFrame.Lane(0)
+	for i, f := range frameCorpus(t, n) {
+		if res := lane.OfferFrame(f); res != OfferAccepted {
+			t.Fatalf("OfferFrame %d returned %d", i, res)
+		}
+	}
+	lane.Flush()
+	viaOffer.Close()
+	viaFrame.Close()
+	if a, b := viaOffer.PacketsObserved(), viaFrame.PacketsObserved(); a != n || b != n {
+		t.Fatalf("observed %d via Offer, %d via OfferFrame, want %d", a, b, n)
+	}
+	if a, b := viaOffer.Clusters(), viaFrame.Clusters(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("clusters diverged:\nOffer:      %+v\nOfferFrame: %+v", a, b)
+	}
+}
+
 // TestIngestLaneClaimExcludesOffer: once every lane is claimed for wire
-// use, legacy Offer has nowhere to queue and must shed, not race a
+// use, Offer has nowhere to queue and must shed, not race a
 // lock-free producer.
 func TestIngestLaneClaimExcludesOffer(t *testing.T) {
 	d := NewRealTimeDefense(realtimeCfg(1))

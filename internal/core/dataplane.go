@@ -77,13 +77,7 @@ const countStripes = 8
 // concurrent writers to one shard spread across cache lines. Any value
 // is correct — stripes only partition the same aggregated total.
 func stripeOf(si int, p *packet.Packet) int {
-	return stripeOfPort(si, p.SrcPort)
-}
-
-// stripeOfPort is stripeOf keyed directly by a source port, for the
-// frame path where no Packet exists.
-func stripeOfPort(si int, sport uint16) int {
-	return si*countStripes + int(sport)&(countStripes-1)
+	return si*countStripes + int(p.SrcPort)&(countStripes-1)
 }
 
 // shard is one independent clustering pipeline. The mutex is only taken
@@ -143,20 +137,15 @@ func (d *Dataplane) NumShards() int { return len(d.shards) }
 func (d *Dataplane) Clusterer(s int) *cluster.Online { return d.shards[s].clusterer }
 
 // ShardOf returns the shard index packet p demuxes to: an FNV-1a hash
-// over the flow 5-tuple, so all packets of a flow — and therefore all
-// packets of a tight aggregate — meet the same clusterer.
+// over the flow 5-tuple (packet.FlowHash, the struct-side twin of
+// FrameView.FlowHash), so all packets of a flow — and therefore all
+// packets of a tight aggregate — meet the same clusterer, whether they
+// arrive as structs or as raw frames.
 func (d *Dataplane) ShardOf(p *packet.Packet) int {
 	if len(d.shards) == 1 {
 		return 0
 	}
-	return int(flowHash(p) % uint32(len(d.shards)))
-}
-
-// flowHash is FNV-1a over (src IP, dst IP, proto, sport, dport). It is
-// the struct-side twin of packet.FrameView.FlowHash, so a frame and the
-// packet unmarshaled from it always demux to the same shard.
-func flowHash(p *packet.Packet) uint32 {
-	return packet.FlowHash(p)
+	return int(packet.FlowHash(p) % uint32(len(d.shards)))
 }
 
 // ShardOfFrame is ShardOf for a raw frame view: the same flow hash over
@@ -266,7 +255,7 @@ func (d *Dataplane) ObserveBatch(pkts []*packet.Packet, queues []int) {
 		sc.segLen[i] = 0
 	}
 	for i, p := range pkts {
-		si := int32(flowHash(p) % ns)
+		si := int32(packet.FlowHash(p) % ns)
 		sc.shard[i] = si
 		sc.segLen[si]++
 	}
@@ -353,44 +342,29 @@ func (d *Dataplane) flushCounts(stripe int, sc *batchScratch) {
 	}
 }
 
-// ObserveShardPackets runs the full per-packet step over a batch whose
-// packets are already known to demux to shard si — the per-shard ring
-// consumer path, which skips ObserveBatch's grouping pass entirely. The
-// caller is responsible for the demux invariant (ShardOf(p) == si for
-// every packet); breaking it silently degrades clustering quality but
-// nothing else. queues follows the ObserveBatch contract.
-func (d *Dataplane) ObserveShardPackets(si int, pkts []*packet.Packet, queues []int) {
-	n := len(pkts)
-	if n == 0 {
-		return
-	}
-	if queues != nil && len(queues) < n {
-		panic("core: ObserveShardPackets queues shorter than pkts")
-	}
-	qm := *d.queueMap.Load()
-	sc := d.scratch.Get().(*batchScratch)
-	d.runShard(si, pkts, nil, queues, qm, sc)
-	d.scratch.Put(sc)
-}
-
-// FrameFeatures is one wire frame reduced to exactly what the
-// clustering stage consumes: its feature values (the first NF entries,
-// where NF is the configured feature-set length) and its IP total
-// length. The ingest producer fills one per frame with
+// FrameFeatures is one packet reduced to exactly what the clustering
+// stage consumes: its feature values (the first NF entries, where NF is
+// the configured feature-set length) and its IP total length. The
+// ingest producer fills one per packet — from a raw frame with
 // packet.FrameView.Features while the header bytes are still hot in
-// cache, so the classifying consumer never touches frame memory at all.
+// cache, or from a decoded packet with FeatureSet.Extract — so the
+// classifying consumer never touches packet or frame memory at all.
 type FrameFeatures struct {
 	Vals [packet.NumFeatures]uint32
 	Size uint32
 }
 
-// ObserveShardFrames is ObserveShardPackets for frames already reduced
-// to their feature values: each entry feeds the shard's clusterer
-// through the fused ObserveFeatures path, so no Packet struct is ever
-// materialized. Frames carry no ground-truth label, so all traffic
-// counts as benign in the label telemetry — exactly what a hardware
-// deployment sees. The demux invariant is that every entry's frame
-// hashed to shard si; queues follows the ObserveBatch contract.
+// ObserveShardFrames runs the full per-packet step over a batch of
+// packets already reduced to their feature values and known to demux to
+// shard si — the per-shard ring consumer path, which skips
+// ObserveBatch's grouping pass entirely. Each entry feeds the shard's
+// clusterer through the fused ObserveFeatures path, so no Packet struct
+// is ever materialized. Entries carry no ground-truth label, so all
+// traffic counts as benign in the label telemetry — exactly what a
+// hardware deployment sees. The caller is responsible for the demux
+// invariant (every entry's flow hashed to shard si); breaking it
+// silently degrades clustering quality but nothing else. queues follows
+// the ObserveBatch contract.
 func (d *Dataplane) ObserveShardFrames(si int, frames []FrameFeatures, queues []int) {
 	n := len(frames)
 	if n == 0 {
