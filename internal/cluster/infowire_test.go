@@ -3,7 +3,26 @@ package cluster
 import (
 	"reflect"
 	"testing"
+
+	"accturbo/internal/codec"
 )
+
+// marshalInfos and unmarshalInfos frame the Info layout on its own, the
+// way every enclosing format embeds it.
+func marshalInfos(infos []Info) []byte {
+	var e codec.Enc
+	AppendInfos(&e, infos)
+	return e.Bytes()
+}
+
+func unmarshalInfos(b []byte) ([]Info, error) {
+	d := codec.NewDec(b, "cluster: infos")
+	out := ReadInfos(&d)
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 func sampleInfos() []Info {
 	return []Info{
@@ -30,11 +49,11 @@ func sampleInfos() []Info {
 // non-contiguous IDs), and marshal must be deterministic.
 func TestInfoWireRoundTrip(t *testing.T) {
 	infos := sampleInfos()
-	blob := MarshalInfos(infos)
-	if string(blob) != string(MarshalInfos(infos)) {
-		t.Fatal("MarshalInfos is not deterministic")
+	blob := marshalInfos(infos)
+	if string(blob) != string(marshalInfos(infos)) {
+		t.Fatal("AppendInfos is not deterministic")
 	}
-	got, err := UnmarshalInfos(blob)
+	got, err := unmarshalInfos(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +65,8 @@ func TestInfoWireRoundTrip(t *testing.T) {
 // TestInfoWireRoundTripEmpty: an empty snapshot (a node with no traffic
 // yet) is a legal 4-byte message.
 func TestInfoWireRoundTripEmpty(t *testing.T) {
-	blob := MarshalInfos(nil)
-	got, err := UnmarshalInfos(blob)
+	blob := marshalInfos(nil)
+	got, err := unmarshalInfos(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +79,19 @@ func TestInfoWireRoundTripEmpty(t *testing.T) {
 // trailing bytes, and hostile slot counts all fail without a partial
 // result.
 func TestInfoWireRejectsCorruption(t *testing.T) {
-	blob := MarshalInfos(sampleInfos())
+	blob := marshalInfos(sampleInfos())
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := UnmarshalInfos(blob[:cut]); err == nil {
+		if _, err := unmarshalInfos(blob[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", cut)
 		}
 	}
-	if _, err := UnmarshalInfos(append(append([]byte(nil), blob...), 0)); err == nil {
+	if _, err := unmarshalInfos(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Fatal("trailing byte not rejected")
 	}
 	// A count far beyond what the payload can hold must fail fast, not
 	// allocate.
 	hostile := []byte{0xff, 0xff, 0xff, 0x7f}
-	if _, err := UnmarshalInfos(hostile); err == nil {
+	if _, err := unmarshalInfos(hostile); err == nil {
 		t.Fatal("hostile count not rejected")
 	}
 }
@@ -89,11 +108,11 @@ func TestInfoWireMergesLikeOriginal(t *testing.T) {
 		Packets:            5, Bytes: 5000, TotalPackets: 5, Malicious: 5, Size: 11,
 	}}
 	direct := MergeSnapshots(Manhattan, a, b)
-	da, err := UnmarshalInfos(MarshalInfos(a))
+	da, err := unmarshalInfos(marshalInfos(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := UnmarshalInfos(MarshalInfos(b))
+	db, err := unmarshalInfos(marshalInfos(b))
 	if err != nil {
 		t.Fatal(err)
 	}

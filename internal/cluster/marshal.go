@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"accturbo/internal/codec"
 )
 
 // Marshal serializes the clusterer's complete learned state — flattened
@@ -20,50 +20,50 @@ import (
 // Checksums and format versioning live one layer up, in the core
 // snapshot container: a cluster blob never travels alone.
 func (o *Online) Marshal() []byte {
-	var e enc
+	var e codec.Enc
 	o.encodeFingerprint(&e)
-	e.u64(o.nextUID)
-	e.u64(o.Observed)
-	e.u32(uint32(len(o.clusters)))
+	e.U64(o.nextUID)
+	e.U64(o.Observed)
+	e.U32(uint32(len(o.clusters)))
 	for ci, c := range o.clusters {
-		e.u64(c.uid)
+		e.U64(c.uid)
 		base := ci * o.nf
 		for f := 0; f < o.nf; f++ {
-			e.u32(o.min[base+f])
-			e.u32(o.max[base+f])
+			e.U32(o.min[base+f])
+			e.U32(o.max[base+f])
 		}
 		if o.center != nil {
 			for f := 0; f < o.nf; f++ {
-				e.f64(o.center[base+f])
+				e.F64(o.center[base+f])
 			}
 		}
-		e.u64(c.count)
-		e.u64(c.packets)
-		e.u64(c.bytes)
-		e.u64(c.totalPackets)
-		e.u64(c.benign)
-		e.u64(c.malicious)
+		e.U64(c.count)
+		e.U64(c.packets)
+		e.U64(c.bytes)
+		e.U64(c.totalPackets)
+		e.U64(c.benign)
+		e.U64(c.malicious)
 		for f := 0; f < o.nf; f++ {
 			if !o.nominal[f] {
 				continue
 			}
-			e.u32(uint32(c.setCard[f]))
+			e.U32(uint32(c.setCard[f]))
 			if o.cfg.UseBloom {
 				b := c.blooms[f]
-				e.u64(b.Inserted)
+				e.U64(b.Inserted)
 				words := b.Words()
-				e.u32(uint32(len(words)))
+				e.U32(uint32(len(words)))
 				for _, w := range words {
-					e.u64(w)
+					e.U64(w)
 				}
 			} else {
 				s := &c.sets[f]
-				e.u32(uint32(s.card()))
-				s.each(func(v uint32) { e.u32(v) })
+				e.U32(uint32(s.card()))
+				s.each(func(v uint32) { e.U32(v) })
 			}
 		}
 	}
-	return e.b
+	return e.Bytes()
 }
 
 // Unmarshal replaces the clusterer's state with a Marshal snapshot. The
@@ -75,19 +75,18 @@ func (o *Online) Marshal() []byte {
 // original clusterer's. The merge-cost cache is marked fully dirty and
 // recomputes lazily from the restored geometry.
 func (o *Online) Unmarshal(data []byte) error {
-	d := dec{b: data}
-	var fp enc
+	var fp codec.Enc
 	o.encodeFingerprint(&fp)
-	if len(d.b) < len(fp.b) || !bytes.Equal(d.b[:len(fp.b)], fp.b) {
+	if !bytes.HasPrefix(data, fp.Bytes()) {
 		return fmt.Errorf("cluster: snapshot fingerprint does not match this clusterer's configuration")
 	}
-	d.off = len(fp.b)
+	d := codec.NewDec(data[fp.Len():], "cluster: snapshot")
 
-	nextUID := d.u64()
-	observed := d.u64()
-	k := int(d.u32())
-	if d.err != nil {
-		return d.err
+	nextUID := d.U64()
+	observed := d.U64()
+	k := int(d.U32())
+	if d.Err() != nil {
+		return d.Err()
 	}
 	if k > o.cfg.MaxClusters {
 		return fmt.Errorf("cluster: snapshot has %d clusters, config allows %d", k, o.cfg.MaxClusters)
@@ -104,57 +103,57 @@ func (o *Online) Unmarshal(data []byte) error {
 	clusters := make([]*clusterState, 0, k)
 	for ci := 0; ci < k; ci++ {
 		c := o.blankState()
-		c.uid = d.u64()
+		c.uid = d.U64()
 		base := ci * o.nf
 		for f := 0; f < o.nf; f++ {
-			min[base+f] = d.u32()
-			max[base+f] = d.u32()
+			min[base+f] = d.U32()
+			max[base+f] = d.U32()
 		}
 		if center != nil {
 			for f := 0; f < o.nf; f++ {
-				center[base+f] = d.f64()
+				center[base+f] = d.F64()
 			}
 		}
-		c.count = d.u64()
-		c.packets = d.u64()
-		c.bytes = d.u64()
-		c.totalPackets = d.u64()
-		c.benign = d.u64()
-		c.malicious = d.u64()
+		c.count = d.U64()
+		c.packets = d.U64()
+		c.bytes = d.U64()
+		c.totalPackets = d.U64()
+		c.benign = d.U64()
+		c.malicious = d.U64()
 		for f := 0; f < o.nf; f++ {
 			if !o.nominal[f] {
 				continue
 			}
-			c.setCard[f] = int(d.u32())
+			c.setCard[f] = int(d.U32())
 			if o.cfg.UseBloom {
-				inserted := d.u64()
-				words := make([]uint64, d.u32())
+				inserted := d.U64()
+				words := make([]uint64, d.Count(8))
 				for i := range words {
-					words[i] = d.u64()
+					words[i] = d.U64()
 				}
-				if d.err != nil {
-					return d.err
+				if d.Err() != nil {
+					return d.Err()
 				}
 				if err := c.blooms[f].SetWords(words, inserted); err != nil {
 					return err
 				}
 			} else {
-				n := int(d.u32())
-				for i := 0; i < n; i++ {
-					c.sets[f].insert(d.u32())
+				for i, n := 0, d.Count(4); i < n; i++ {
+					v := d.U32()
+					if v > o.feats[f].MaxValue() {
+						return fmt.Errorf("cluster: snapshot value %d outside feature %v", v, o.feats[f])
+					}
+					c.sets[f].insert(v)
 				}
 			}
 		}
-		if d.err != nil {
-			return d.err
+		if d.Err() != nil {
+			return d.Err()
 		}
 		clusters = append(clusters, c)
 	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("cluster: %d trailing bytes after snapshot", len(d.b)-d.off)
+	if err := d.Done(); err != nil {
+		return err
 	}
 
 	// Commit only after the whole stream decoded cleanly.
@@ -180,84 +179,18 @@ func (o *Online) Unmarshal(data []byte) error {
 // against the receiver (different feature count, value spaces, set
 // representation) or would silently change behavior (distance, search,
 // learning rate).
-func (o *Online) encodeFingerprint(e *enc) {
-	e.u32(uint32(o.cfg.MaxClusters))
-	e.u8(uint8(len(o.feats)))
+func (o *Online) encodeFingerprint(e *codec.Enc) {
+	e.U32(uint32(o.cfg.MaxClusters))
+	e.U8(uint8(len(o.feats)))
 	for _, f := range o.feats {
-		e.u8(uint8(f))
+		e.U8(uint8(f))
 	}
-	e.u8(uint8(o.cfg.Distance))
-	e.u8(uint8(o.cfg.Search))
-	e.f64(o.cfg.LearningRate)
-	e.bool(o.cfg.UseBloom)
-	e.u64(o.cfg.BloomBits)
-	e.u32(uint32(o.cfg.BloomHashes))
-	e.bool(o.cfg.Normalize)
-	e.bool(o.cfg.SliceInit)
+	e.U8(uint8(o.cfg.Distance))
+	e.U8(uint8(o.cfg.Search))
+	e.F64(o.cfg.LearningRate)
+	e.Bool(o.cfg.UseBloom)
+	e.U64(o.cfg.BloomBits)
+	e.U32(uint32(o.cfg.BloomHashes))
+	e.Bool(o.cfg.Normalize)
+	e.Bool(o.cfg.SliceInit)
 }
-
-// enc is a minimal append-only little-endian encoder.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8) { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) {
-	e.b = binary.LittleEndian.AppendUint32(e.b, v)
-}
-func (e *enc) u64(v uint64) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, v)
-}
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-// dec is the matching decoder; the first short read latches err and
-// every later read returns zero, so call sites check err at section
-// boundaries instead of per field.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("cluster: snapshot truncated at byte %d", d.off)
-	}
-}
-
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }

@@ -3,15 +3,18 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
+	"accturbo/internal/codec"
 	"accturbo/internal/eventsim"
+	"accturbo/internal/packet"
 )
 
 // warmPipeline builds a dataplane/control plane pair on a fakeClock,
 // runs traffic and a few control-loop cycles, and returns everything a
 // snapshot test needs.
-func warmPipeline(t *testing.T, cfg Config, concurrent bool) (*Dataplane, *ControlPlane, *fakeClock) {
+func warmPipeline(t testing.TB, cfg Config, concurrent bool) (*Dataplane, *ControlPlane, *fakeClock) {
 	t.Helper()
 	dp := NewDataplane(cfg, concurrent)
 	clk := &fakeClock{}
@@ -206,4 +209,141 @@ func TestSnapshotRejects(t *testing.T) {
 			t.Fatal("accepted a restore over a pipeline with history")
 		}
 	})
+}
+
+// hostileSnapshot seals an ACCSNAP1 payload for a fresh single-shard
+// pipeline of cfg that is well formed up to the count named at, which
+// claims 0x7fffffff elements and ends the payload (a count inside the
+// decision's one cluster is followed by enough zero bytes for the
+// enclosing cluster count to pass). Every other list is empty or holds
+// one element, and shard 0's blob is empty (blobs are only interpreted
+// once the whole payload has decoded).
+func hostileSnapshot(t *testing.T, cfg Config, at string) []byte {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	var e codec.Enc
+	seal := func() []byte {
+		var buf bytes.Buffer
+		if err := codec.WriteSealed(&buf, snapMagic, snapVersion, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	count := func(name string, n uint32) bool {
+		if name == at {
+			e.U32(0x7fffffff)
+			return true
+		}
+		e.U32(n)
+		return false
+	}
+	e.U32(1)
+	e.U32(uint32(cfg.NumQueues))
+	e.U32(uint32(cfg.Clustering.MaxClusters))
+	e.U8(uint8(cfg.Ranking))
+	for _, v := range []eventsim.Time{cfg.PollInterval, cfg.DeployDelay, 0, 0, 0} {
+		e.I64(int64(v))
+	}
+	if count("queue map", 0) {
+		return seal()
+	}
+	e.U32(0) // shard 0's blob length
+	e.Bool(true)
+	e.I64(1)
+	e.I64(2)
+	if count("decision clusters", 1) {
+		return seal()
+	}
+	e.U32(0)
+	e.Bool(true)
+	if count("decision ranges", 0) || count("decision cardinalities", 0) {
+		e.Raw(make([]byte, 64))
+		return seal()
+	}
+	for i := 0; i < 6; i++ {
+		e.U64(0)
+	}
+	if count("decision ranks", 0) || count("decision queues", 0) {
+		return seal()
+	}
+	e.Bool(false)
+	e.U32(0)
+	for i := 0; i < 4; i++ {
+		e.U64(0)
+	}
+	if count("assigned counters", 0) || count("routed counters", 0) {
+		return seal()
+	}
+	t.Fatalf("no count named %q", at)
+	return nil
+}
+
+// TestRestoreStateRejectsHostileCounts: every count in the payload is
+// checked against the bytes left before anything is allocated from it.
+// The queue-map case is a 79-byte file that used to exhaust memory.
+func TestRestoreStateRejectsHostileCounts(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, at := range []string{
+		"queue map", "decision clusters", "decision ranges", "decision cardinalities",
+		"decision ranks", "decision queues", "assigned counters", "routed counters",
+	} {
+		t.Run(strings.ReplaceAll(at, " ", "-"), func(t *testing.T) {
+			blob := hostileSnapshot(t, cfg, at)
+			if at == "queue map" && len(blob) != 79 {
+				t.Fatalf("queue-map case is %d bytes, want the 79-byte reproducer", len(blob))
+			}
+			dp := NewDataplane(cfg, false)
+			cp := NewControlPlane(dp, &fakeClock{}, cfg)
+			var err error
+			if n := allocatedBy(func() { err = RestoreState(bytes.NewReader(blob), dp, cp) }); n > 1<<20 {
+				t.Fatalf("restore allocated %d bytes for a %d-byte snapshot", n, len(blob))
+			}
+			if err == nil || !strings.Contains(err.Error(), "claims 2147483647 elements") {
+				t.Fatalf("err = %v, want a refused count", err)
+			}
+		})
+	}
+}
+
+// TestRestoreStateFailureChangesNothing: a snapshot that passes the
+// structural checks but fails on a shard's clusterer fingerprint must
+// leave the target exactly as it was — runtime config, generation,
+// shard state and all — so re-saving it gives the pre-restore bytes.
+func TestRestoreStateFailureChangesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	dp, cp, _ := warmPipeline(t, cfg, false)
+	slow := 700 * eventsim.Millisecond
+	if _, err := cp.Reconfigure(RuntimePatch{PollInterval: &slow}); err != nil {
+		t.Fatal(err)
+	}
+	var src bytes.Buffer
+	if err := SaveState(&src, dp, cp); err != nil {
+		t.Fatal(err)
+	}
+
+	hw := cfg
+	hw.Clustering.Features = packet.HardwareFeatures()
+	dp2 := NewDataplane(hw, false)
+	cp2 := NewControlPlane(dp2, &fakeClock{}, hw)
+	var before bytes.Buffer
+	if err := SaveState(&before, dp2, cp2); err != nil {
+		t.Fatal(err)
+	}
+	err := RestoreState(bytes.NewReader(src.Bytes()), dp2, cp2)
+	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("err = %v, want a shard fingerprint mismatch", err)
+	}
+	if g := cp2.ConfigGeneration(); g != 1 {
+		t.Fatalf("ConfigGeneration = %d after a failed restore, want 1", g)
+	}
+	if p := cp2.Runtime().PollInterval; p != cfg.PollInterval {
+		t.Fatalf("poll interval = %v after a failed restore, want %v", p, cfg.PollInterval)
+	}
+	var after bytes.Buffer
+	if err := SaveState(&after, dp2, cp2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("a failed restore changed the pipeline's saved state")
+	}
 }

@@ -31,9 +31,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"accturbo/internal/cluster"
+	"accturbo/internal/codec"
 	"accturbo/internal/eventsim"
 )
 
@@ -46,12 +46,17 @@ import (
 // the format self-delimiting on a byte stream: ReadFrame/WriteFrame
 // speak it over any io.Reader/Writer, which is what keeps the framing
 // TCP-shaped while the current backends move whole frames in process.
+// The envelope is fleet's own; the payloads are written with the
+// shared internal/codec primitives, and a snapshot's cluster list is
+// cluster's one Info layout (cluster.AppendInfos).
 const (
 	wireMagic   = "ACCFLEET"
 	wireVersion = 1
 
+	// frameHeader is every envelope byte before the payload.
+	frameHeader = len(wireMagic) + 2 + 1 + 4
 	// frameOverhead is every byte that isn't payload.
-	frameOverhead = len(wireMagic) + 2 + 1 + 4 + 4
+	frameOverhead = frameHeader + 4
 
 	// maxFramePayload bounds what ReadFrame will buffer: generous for
 	// any real snapshot (a 4096-slot snapshot with 16 features is under
@@ -106,86 +111,27 @@ type Deploy struct {
 	Rank []float64
 }
 
-// enc is a minimal append-only little-endian encoder (the same idiom as
-// the cluster and core codecs; private to each package by design — the
-// codec is the format contract, not a shared utility).
-type enc struct{ b []byte }
+// msgNames names each message type in decode errors.
+var msgNames = [...]string{MsgSnapshot: "snapshot", MsgDeploy: "deploy", MsgHello: "hello", MsgHeartbeat: "heartbeat"}
 
-func (e *enc) u8(v uint8)    { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) raw(b []byte)  { e.b = append(e.b, b...) }
-func (e *enc) str(s string)  { e.b = append(e.b, s...) }
-
-// dec is the matching decoder; the first short read latches err.
-type dec struct {
-	b   []byte
-	off int
-	err error
+// newFrame starts a frame of the given type with room for a payload of
+// about payloadHint bytes; the caller appends the payload and seals it.
+func newFrame(msgType uint8, payloadHint int) *codec.Enc {
+	e := codec.NewEnc(frameOverhead + payloadHint)
+	e.String(wireMagic)
+	e.U16(wireVersion)
+	e.U8(msgType)
+	e.U32(0) // payload length, patched by seal
+	return e
 }
 
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("fleet: frame truncated at byte %d", d.off)
-	}
-}
-
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if d.err != nil || d.off+2 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// frame wraps a typed payload in the container: magic, version, type,
-// length, payload, CRC over everything before the CRC.
-func frame(msgType uint8, payload []byte) []byte {
-	var e enc
-	e.b = make([]byte, 0, frameOverhead+len(payload))
-	e.str(wireMagic)
-	e.u16(wireVersion)
-	e.u8(msgType)
-	e.u32(uint32(len(payload)))
-	e.raw(payload)
-	e.u32(crc32.ChecksumIEEE(e.b))
-	return e.b
+// seal patches the payload length into a newFrame envelope and appends
+// the CRC over everything before it.
+func seal(e *codec.Enc) []byte {
+	b := e.Bytes()
+	binary.LittleEndian.PutUint32(b[frameHeader-4:], uint32(len(b)-frameHeader))
+	e.U32(crc32.ChecksumIEEE(b))
+	return e.Bytes()
 }
 
 // unframe validates the container and returns (type, payload). The
@@ -202,166 +148,127 @@ func unframe(data []byte) (uint8, []byte, error) {
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return 0, nil, fmt.Errorf("fleet: frame checksum %08x != stored %08x", got, sum)
 	}
-	d := dec{b: body, off: len(wireMagic)}
-	if v := d.u16(); v != wireVersion {
+	if v := binary.LittleEndian.Uint16(body[len(wireMagic):]); v != wireVersion {
 		return 0, nil, fmt.Errorf("fleet: frame version %d, this build speaks %d", v, wireVersion)
 	}
-	msgType := d.u8()
-	plen := int(d.u32())
-	if d.err != nil {
-		return 0, nil, d.err
+	msgType := body[len(wireMagic)+2]
+	plen := int(binary.LittleEndian.Uint32(body[frameHeader-4:]))
+	if plen != len(body)-frameHeader {
+		return 0, nil, fmt.Errorf("fleet: payload length %d != %d remaining bytes", plen, len(body)-frameHeader)
 	}
-	if plen != len(body)-d.off {
-		return 0, nil, fmt.Errorf("fleet: payload length %d != %d remaining bytes", plen, len(body)-d.off)
+	return msgType, body[frameHeader:], nil
+}
+
+// open unframes data, checks that it carries a want message, and
+// returns a decoder over the payload.
+func open(data []byte, want uint8) (codec.Dec, error) {
+	msgType, payload, err := unframe(data)
+	if err != nil {
+		return codec.Dec{}, err
 	}
-	return msgType, body[d.off:], nil
+	if msgType != want {
+		return codec.Dec{}, fmt.Errorf("fleet: message type %d, want %s (%d)", msgType, msgNames[want], want)
+	}
+	return codec.NewDec(payload, "fleet: frame"), nil
 }
 
 // EncodeSnapshot frames a node snapshot for the wire.
 func EncodeSnapshot(s *Snapshot) []byte {
-	var e enc
-	e.u32(s.Node)
-	e.u64(s.Seq)
-	e.u64(uint64(s.At))
-	e.raw(cluster.MarshalInfos(s.Infos))
-	return frame(MsgSnapshot, e.b)
+	e := newFrame(MsgSnapshot, 24+128*len(s.Infos))
+	e.U32(s.Node)
+	e.U64(s.Seq)
+	e.U64(uint64(s.At))
+	cluster.AppendInfos(e, s.Infos)
+	return seal(e)
 }
 
 // DecodeSnapshot unframes and decodes a MsgSnapshot frame.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	msgType, payload, err := unframe(data)
+	d, err := open(data, MsgSnapshot)
 	if err != nil {
 		return nil, err
 	}
-	if msgType != MsgSnapshot {
-		return nil, fmt.Errorf("fleet: message type %d, want snapshot (%d)", msgType, MsgSnapshot)
-	}
-	d := dec{b: payload}
 	s := &Snapshot{
-		Node: d.u32(),
-		Seq:  d.u64(),
-		At:   eventsim.Time(d.u64()),
+		Node:  d.U32(),
+		Seq:   d.U64(),
+		At:    eventsim.Time(d.U64()),
+		Infos: cluster.ReadInfos(&d),
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	infos, err := cluster.UnmarshalInfos(payload[d.off:])
-	if err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	s.Infos = infos
 	return s, nil
 }
 
 // EncodeDeploy frames a global deployment for broadcast.
 func EncodeDeploy(dp *Deploy) []byte {
-	var e enc
-	e.u64(dp.Epoch)
-	e.u64(uint64(dp.At))
-	e.u32(uint32(len(dp.QueueOf)))
+	e := newFrame(MsgDeploy, 24+4*len(dp.QueueOf)+8*len(dp.Rank))
+	e.U64(dp.Epoch)
+	e.U64(uint64(dp.At))
+	e.U32(uint32(len(dp.QueueOf)))
 	for _, q := range dp.QueueOf {
-		e.u32(uint32(q))
+		e.U32(uint32(q))
 	}
-	e.u32(uint32(len(dp.Rank)))
+	e.U32(uint32(len(dp.Rank)))
 	for _, r := range dp.Rank {
-		e.f64(r)
+		e.F64(r)
 	}
-	return frame(MsgDeploy, e.b)
+	return seal(e)
 }
 
 // DecodeDeploy unframes and decodes a MsgDeploy frame.
 func DecodeDeploy(data []byte) (*Deploy, error) {
-	msgType, payload, err := unframe(data)
+	d, err := open(data, MsgDeploy)
 	if err != nil {
 		return nil, err
 	}
-	if msgType != MsgDeploy {
-		return nil, fmt.Errorf("fleet: message type %d, want deploy (%d)", msgType, MsgDeploy)
-	}
-	d := dec{b: payload}
 	dp := &Deploy{
-		Epoch: d.u64(),
-		At:    eventsim.Time(d.u64()),
+		Epoch: d.U64(),
+		At:    eventsim.Time(d.U64()),
 	}
-	nq := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if nq > len(payload)/4 {
-		return nil, fmt.Errorf("fleet: deploy claims %d queue slots in %d bytes", nq, len(payload))
-	}
-	dp.QueueOf = make([]int, nq)
+	dp.QueueOf = make([]int, d.Count(4))
 	for i := range dp.QueueOf {
-		dp.QueueOf[i] = int(d.u32())
+		dp.QueueOf[i] = int(d.U32())
 	}
-	nr := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if nr > len(payload)/8 {
-		return nil, fmt.Errorf("fleet: deploy claims %d ranks in %d bytes", nr, len(payload))
-	}
-	dp.Rank = make([]float64, nr)
+	dp.Rank = make([]float64, d.Count(8))
 	for i := range dp.Rank {
-		dp.Rank[i] = d.f64()
+		dp.Rank[i] = d.F64()
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("fleet: %d trailing bytes after deploy", len(payload)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return dp, nil
 }
 
 // EncodeHello frames a connection handshake for node id.
-func EncodeHello(node uint32) []byte {
-	var e enc
-	e.u32(node)
-	return frame(MsgHello, e.b)
-}
+func EncodeHello(node uint32) []byte { return encodeNode(MsgHello, node) }
 
 // DecodeHello unframes and decodes a MsgHello frame.
-func DecodeHello(data []byte) (uint32, error) {
-	msgType, payload, err := unframe(data)
-	if err != nil {
-		return 0, err
-	}
-	if msgType != MsgHello {
-		return 0, fmt.Errorf("fleet: message type %d, want hello (%d)", msgType, MsgHello)
-	}
-	d := dec{b: payload}
-	node := d.u32()
-	if d.err != nil {
-		return 0, d.err
-	}
-	if d.off != len(payload) {
-		return 0, fmt.Errorf("fleet: %d trailing bytes after hello", len(payload)-d.off)
-	}
-	return node, nil
-}
+func DecodeHello(data []byte) (uint32, error) { return decodeNode(data, MsgHello) }
 
 // EncodeHeartbeat frames a liveness beacon from node id (0 = the
 // coordinator).
-func EncodeHeartbeat(node uint32) []byte {
-	var e enc
-	e.u32(node)
-	return frame(MsgHeartbeat, e.b)
-}
+func EncodeHeartbeat(node uint32) []byte { return encodeNode(MsgHeartbeat, node) }
 
 // DecodeHeartbeat unframes and decodes a MsgHeartbeat frame.
-func DecodeHeartbeat(data []byte) (uint32, error) {
-	msgType, payload, err := unframe(data)
+func DecodeHeartbeat(data []byte) (uint32, error) { return decodeNode(data, MsgHeartbeat) }
+
+// encodeNode frames a message whose whole payload is one node id.
+func encodeNode(msgType uint8, node uint32) []byte {
+	e := newFrame(msgType, 4)
+	e.U32(node)
+	return seal(e)
+}
+
+// decodeNode reads what encodeNode wrote.
+func decodeNode(data []byte, msgType uint8) (uint32, error) {
+	d, err := open(data, msgType)
 	if err != nil {
 		return 0, err
 	}
-	if msgType != MsgHeartbeat {
-		return 0, fmt.Errorf("fleet: message type %d, want heartbeat (%d)", msgType, MsgHeartbeat)
-	}
-	d := dec{b: payload}
-	node := d.u32()
-	if d.err != nil {
-		return 0, d.err
+	node := d.U32()
+	if err := d.Done(); err != nil {
+		return 0, err
 	}
 	return node, nil
 }
@@ -401,7 +308,7 @@ const readChunk = 64 << 10
 // grows readChunk at a time as bytes arrive — a corrupted or hostile
 // length prefix cannot OOM the reader.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	head := make([]byte, len(wireMagic)+2+1+4)
+	head := make([]byte, frameHeader)
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, err
 	}
