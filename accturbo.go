@@ -172,16 +172,13 @@ type Verdict struct {
 //
 // Concurrency contract, per mode:
 //
-//   - Config.Shards <= 1 (NewDefense): the deterministic single
-//     pipeline. The control loop runs in virtual time advanced by the
-//     caller-supplied Process timestamps, so runs are exactly
-//     reproducible. NOT safe for concurrent use — feed it from one
-//     goroutine.
-//   - Config.Shards > 1 (NewDefense or NewRealTimeDefense): the
-//     concurrent sharded pipeline. Process is safe from any number of
-//     goroutines: packets demux to per-shard clusterers by flow hash,
-//     and the control loop runs on a wall clock, merging per-shard
-//     snapshots into one global ranking. Call Close when done.
+//   - NewDefense: the deterministic pipeline. The control loop runs in
+//     virtual time advanced by the caller-supplied Process timestamps,
+//     so runs are exactly reproducible. NOT safe for concurrent use —
+//     feed it from one goroutine.
+//   - NewRealTimeDefense: the concurrent pipeline. Process is safe from
+//     any number of goroutines (one mutex guards the clusterer), and
+//     the control loop runs on a wall clock. Call Close when done.
 type Defense struct {
 	cfg   core.Config
 	dp    *core.Dataplane
@@ -222,11 +219,9 @@ func (d *Defense) describe() {
 	d.cp.Describe(d.reg, "accturbo_controlplane")
 }
 
-// NewDefense builds a pipeline from cfg. With cfg.Shards <= 1 it is the
-// deterministic single pipeline; with cfg.Shards > 1 it is the
-// concurrent real-time pipeline (identical to NewRealTimeDefense). It
-// panics on an invalid configuration; NewDefenseE is the
-// error-returning variant for runtime paths.
+// NewDefense builds the deterministic pipeline from cfg. It panics on
+// an invalid configuration; NewDefenseE is the error-returning variant
+// for runtime paths.
 func NewDefense(cfg Config) *Defense {
 	d, err := NewDefenseE(cfg)
 	if err != nil {
@@ -238,9 +233,6 @@ func NewDefense(cfg Config) *Defense {
 // NewDefenseE is NewDefense returning configuration errors instead of
 // panicking.
 func NewDefenseE(cfg Config) (*Defense, error) {
-	if cfg.Shards > 1 {
-		return NewRealTimeDefenseE(cfg)
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -263,10 +255,9 @@ func NewDefenseE(cfg Config) (*Defense, error) {
 // NewRealTimeDefense builds a concurrent pipeline whose control loop
 // runs on the wall clock: polls fire every PollInterval of real time
 // and deployments apply DeployDelay later, regardless of Process
-// timestamps. Any cfg.Shards >= 0 is accepted (0 and 1 mean one shard,
-// still goroutine-safe). Call Close to stop the control loop. It
-// panics on an invalid configuration; NewRealTimeDefenseE is the
-// error-returning variant.
+// timestamps. Call Close to stop the control loop. It panics on an
+// invalid configuration; NewRealTimeDefenseE is the error-returning
+// variant.
 func NewRealTimeDefense(cfg Config) *Defense {
 	d, err := NewRealTimeDefenseE(cfg)
 	if err != nil {
@@ -321,9 +312,9 @@ func (d *Defense) Process(at time.Duration, p *Packet) Verdict {
 
 // ObserveBatch classifies a batch of packets sharing the timestamp
 // `at`, the amortized alternative to calling Process in a loop: the
-// live queue mapping is loaded once, each data-plane shard is visited
-// once (one lock acquisition per shard in the concurrent mode), and
-// telemetry counters are flushed per batch rather than per packet.
+// live queue mapping is loaded once, the clusterer lock is taken once
+// (concurrent mode), and telemetry counters are flushed per batch
+// rather than per packet.
 //
 // When queues is non-nil it must be at least len(pkts) long; entry i
 // receives packet i's priority queue (what Verdict.Queue would have
@@ -381,7 +372,7 @@ type Health struct {
 	// internal/core.Health): poll/decision ages, watchdog state,
 	// fail-open flag, recovered panics.
 	Control core.Health `json:"control"`
-	// PacketsObserved counts packets processed across all shards.
+	// PacketsObserved counts packets processed.
 	PacketsObserved uint64 `json:"packets_observed"`
 	// IngestDepth/IngestCapacity report the bounded ingest queue's
 	// occupancy (zero until EnableIngest); IngestShed counts packets
@@ -418,7 +409,7 @@ func (d *Defense) Health() Health {
 // control loop re-reads it every tick), and the periodic tickers are
 // rescheduled under a bumped generation — no packet is dropped or
 // reclassified, and a deployment already in flight still applies.
-// Structural settings (features, cluster/queue counts, shards) cannot
+// Structural settings (features, cluster/queue counts) cannot
 // change; build a new Defense for those. It returns the new config
 // generation. Safe from any goroutine.
 func (d *Defense) Reconfigure(patch RuntimePatch) (uint64, error) {
@@ -433,10 +424,10 @@ func (d *Defense) Runtime() RuntimeConfig { return d.cp.Runtime() }
 func (d *Defense) ConfigGeneration() uint64 { return d.cp.ConfigGeneration() }
 
 // SaveState serializes the full defense state into w: runtime config,
-// the deployed queue map, every shard's learned clusters, the last
-// decision, fail-open status and lifetime counters, framed by a magic/
-// version header and a CRC-32 trailer. Safe on a live pipeline (shards
-// are locked one at a time in concurrent mode); for a quiescent-exact
+// the deployed queue map, the learned clusters, the last decision,
+// fail-open status and lifetime counters, framed by a magic/version
+// header and a CRC-32 trailer. Safe on a live pipeline (the clusterer
+// is locked while marshaled in concurrent mode); for a quiescent-exact
 // snapshot, stop feeding packets first.
 func (d *Defense) SaveState(w io.Writer) error {
 	return core.SaveState(w, d.dp, d.cp)
@@ -452,20 +443,16 @@ func (d *Defense) RestoreState(r io.Reader) error {
 	return core.RestoreState(r, d.dp, d.cp)
 }
 
-// Shards returns the number of data-plane clustering pipelines.
-func (d *Defense) Shards() int { return d.dp.NumShards() }
-
-// PacketsObserved returns the total number of packets processed across
-// all shards (exact once ingest has quiesced).
+// PacketsObserved returns the total number of packets processed
+// (exact once ingest has quiesced).
 func (d *Defense) PacketsObserved() uint64 { return d.dp.Observed() }
 
 // Deployments returns the number of cluster→queue mappings the control
 // plane has pushed to the data plane.
 func (d *Defense) Deployments() uint64 { return d.cp.Deployments() }
 
-// Clusters returns the interpretable snapshot of all aggregates — the
-// per-shard views merged slot-wise when sharded. The snapshot is a deep
-// copy owned by the caller.
+// Clusters returns the interpretable snapshot of all aggregates. The
+// snapshot is a deep copy owned by the caller.
 func (d *Defense) Clusters() []ClusterInfo { return d.dp.Snapshot() }
 
 // LastDecision returns the most recent control-loop outcome (nil until
@@ -487,11 +474,11 @@ func (d *Defense) RecentDecisions(n int) []*Decision { return d.cp.Recent(n) }
 // Metrics is a point-in-time snapshot of the pipeline's telemetry. All
 // slices and the histogram are copies owned by the caller.
 type Metrics struct {
-	// PacketsObserved counts packets processed across all shards.
+	// PacketsObserved counts packets processed.
 	PacketsObserved uint64
 	// Deployments counts cluster→queue mappings installed.
 	Deployments uint64
-	// AssignedPkts counts packets per cluster slot, summed over shards.
+	// AssignedPkts counts packets per cluster slot.
 	AssignedPkts []uint64
 	// RoutedPkts counts packets per strict-priority queue (index 0 is
 	// the highest priority).

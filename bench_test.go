@@ -16,7 +16,6 @@ package accturbo
 // cmd/experiments without -quick.
 
 import (
-	"fmt"
 	"testing"
 
 	"accturbo/internal/experiments"
@@ -223,37 +222,26 @@ func BenchmarkDefenseProcessExhaustive(b *testing.B) {
 }
 
 // BenchmarkObserveBatch measures the amortized per-packet cost of the
-// batched ingest path (256-packet batches): one queue-map load, one
-// shard-lock round and one telemetry flush per batch instead of per
-// packet. Reported per packet for direct comparison with
+// batched ingest path (256-packet batches) of the deterministic
+// pipeline: one queue-map load and one telemetry flush per batch
+// instead of per packet. Reported per packet for direct comparison with
 // BenchmarkDefenseProcess; the steady-state path is allocation-free
 // (gated by TestObserveBatchZeroAlloc in internal/core).
 func BenchmarkObserveBatch(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Clustering.SliceInit = true
-			cfg.Shards = shards
-			var d *Defense
-			if shards > 1 {
-				d = NewRealTimeDefense(cfg)
-				defer d.Close()
-			} else {
-				d = NewDefense(cfg)
-			}
-			const batch = 256
-			pkts := make([]*Packet, batch)
-			for i := range pkts {
-				pkts[i] = benignPacket(i)
-			}
-			queues := make([]int, batch)
-			d.ObserveBatch(0, pkts, queues) // warm clusterers and scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				d.ObserveBatch(0, pkts, queues)
-			}
-		})
+	cfg := DefaultConfig()
+	cfg.Clustering.SliceInit = true
+	d := NewDefense(cfg)
+	const batch = 256
+	pkts := make([]*Packet, batch)
+	for i := range pkts {
+		pkts[i] = benignPacket(i)
+	}
+	queues := make([]int, batch)
+	d.ObserveBatch(0, pkts, queues) // warm the clusterer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batch {
+		d.ObserveBatch(0, pkts, queues)
 	}
 }
 
@@ -275,36 +263,27 @@ func BenchmarkEndToEndSim(b *testing.B) {
 	}
 }
 
-// BenchmarkDefenseSharded measures aggregate Observe throughput of the
-// concurrent pipeline at 1/2/4/8 shards, fed via RunParallel from
-// GOMAXPROCS goroutines. All shard counts run the same locked
-// concurrent mode, so the sweep isolates what sharding buys: per-shard
-// locks stop contending once flows spread across pipelines. On a
-// multi-core runner 4 shards should clear ~2x the 1-shard rate; on a
-// single core the sweep degenerates to lock overhead only.
-func BenchmarkDefenseSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Clustering.SliceInit = true
-			cfg.Shards = shards
-			d := NewRealTimeDefense(cfg)
-			defer d.Close()
-			pkts := make([]*Packet, 1024)
-			for i := range pkts {
-				pkts[i] = benignPacket(i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					d.Process(0, pkts[i%len(pkts)])
-					i++
-				}
-			})
-		})
+// BenchmarkDefenseConcurrent measures aggregate Process throughput of
+// the concurrent pipeline, fed via RunParallel from GOMAXPROCS
+// goroutines that share its one clusterer lock.
+func BenchmarkDefenseConcurrent(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Clustering.SliceInit = true
+	d := NewRealTimeDefense(cfg)
+	defer d.Close()
+	pkts := make([]*Packet, 1024)
+	for i := range pkts {
+		pkts[i] = benignPacket(i)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			d.Process(0, pkts[i%len(pkts)])
+			i++
+		}
+	})
 }
 
 // BenchmarkAdversarial regenerates the §9 extension: mitigation

@@ -9,13 +9,12 @@
 //   - Replay (default): the deterministic single pipeline. The control
 //     loop runs in the capture's own timeline, so identical inputs
 //     yield identical verdicts.
-//   - Real time (-realtime, or -shards > 1): the concurrent sharded
-//     pipeline on the wall-clock driver. Capture timestamps are
-//     ignored; each packet is reduced to its header features and
-//     offered to the bounded ingest stage as fast as the pipeline
-//     absorbs them, and the control loop polls on real time — the
-//     software-router deployment shape, reported with ingest
-//     throughput.
+//   - Real time (-realtime): the concurrent pipeline on the wall-clock
+//     driver. Capture timestamps are ignored; each packet is reduced to
+//     its header features and offered to the bounded ingest stage as
+//     fast as the pipeline absorbs them, and the control loop polls on
+//     real time — the software-router deployment shape, reported with
+//     ingest throughput.
 //   - Wire-speed replay (-replay, implies -realtime): the capture is
 //     memory-mapped and raw frames stream through an exclusive
 //     lock-free ingest lane — fused feature decode, no Packet structs,
@@ -73,7 +72,7 @@
 //
 //	accturbo-defend -in day.pcap                    # aggregate report
 //	accturbo-defend -in day.pcap -verdicts out.csv  # per-packet verdicts
-//	accturbo-defend -in day.pcap -realtime -shards 4
+//	accturbo-defend -in day.pcap -realtime
 //	accturbo-defend -in day.pcap -replay -replay-loops 4
 //	accturbo-defend -in day.pcap -realtime -metrics-addr :9100
 //	accturbo-defend -in day.pcap -chaos-seed 7 -fault-spec 'drop:p=0.01;stall:at=5s,for=2s' -fail-open-after 3s
@@ -92,6 +91,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -115,8 +115,8 @@ type options struct {
 	in, verdictsOut, metricsAddr, faultSpec, cpuProfile, restorePath, snapshotOut string
 	coordListen, coordAddr, chaosProxyAddr, chaosProxyTarget                      string
 
-	clusters, pollMs, reseedMs, replayLoops, shards, ingest, ingestQueue, batchSize int
-	victimsK, victimWindowMs, fleetNodes, chaosPlan                                 int
+	clusters, pollMs, reseedMs, replayLoops, ingest, ingestQueue, batchSize int
+	victimsK, victimWindowMs, fleetNodes, chaosPlan                         int
 
 	realtime, replay, coordinator bool
 	failOpenAfter, runFor         time.Duration
@@ -138,7 +138,6 @@ func parseFlags(args []string) *options {
 	fs.BoolVar(&o.realtime, "realtime", false, "run the wall-clock pipeline instead of deterministic replay")
 	fs.BoolVar(&o.replay, "replay", false, "wire-speed frame replay: memory-map the capture and stream raw frames through a lock-free ingest lane (implies -realtime; lossless, retries under backpressure)")
 	fs.IntVar(&o.replayLoops, "replay-loops", 1, "passes over the capture in -replay mode")
-	fs.IntVar(&o.shards, "shards", 1, "data-plane clustering shards (> 1 implies -realtime)")
 	fs.IntVar(&o.ingest, "ingest", runtime.GOMAXPROCS(0), "ingest goroutines in real-time mode")
 	fs.IntVar(&o.ingestQueue, "ingest-queue", 8192, "bounded ingest queue capacity in real-time mode (overflow is shed, not buffered)")
 	fs.IntVar(&o.batchSize, "batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
@@ -183,12 +182,12 @@ func (o *options) mode() string {
 	return "single"
 }
 
-// validate normalizes the implied flags (-shards > 1 and -replay imply
-// -realtime) and rejects flag combinations no mode accepts; every error
-// is a usage error.
+// validate normalizes the implied flag (-replay implies -realtime) and
+// rejects flag combinations no mode accepts; every error is a usage
+// error.
 func (o *options) validate() error {
 	tcpFleet := o.coordListen != "" || o.coordAddr != ""
-	if o.shards > 1 || o.replay {
+	if o.replay {
 		o.realtime = true
 	}
 	switch {
@@ -207,9 +206,9 @@ func (o *options) validate() error {
 	case o.coordListen != "" && o.coordAddr != "":
 		return errors.New("-coordinator-listen and -coordinator-addr are different processes; pick one")
 	case tcpFleet && (o.fleetNodes > 0 || o.singleNodeOnly()):
-		return errors.New("multi-process fleet modes cannot be combined with -fleet-nodes, -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
+		return errors.New("multi-process fleet modes cannot be combined with -fleet-nodes, -replay, -verdicts, -batch, -restore, -snapshot-out, or -victims")
 	case o.fleetNodes > 0 && o.singleNodeOnly():
-		return errors.New("-fleet-nodes cannot be combined with -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
+		return errors.New("-fleet-nodes cannot be combined with -replay, -verdicts, -batch, -restore, -snapshot-out, or -victims")
 	case o.victimsK > 0 && o.victimWindowMs <= 0:
 		return errors.New("-victim-window must be positive")
 	}
@@ -220,7 +219,7 @@ func (o *options) validate() error {
 // supports is set.
 func (o *options) singleNodeOnly() bool {
 	return o.replay || o.verdictsOut != "" || o.batchSize > 1 || o.restorePath != "" ||
-		o.snapshotOut != "" || o.shards > 1 || o.victimsK > 0
+		o.snapshotOut != "" || o.victimsK > 0
 }
 
 // config builds the per-node pipeline configuration.
@@ -229,7 +228,6 @@ func (o *options) config(injector *faults.Injector) accturbo.Config {
 	cfg.Clustering.MaxClusters = o.clusters
 	cfg.Clustering.SliceInit = true
 	cfg.NumQueues = o.clusters
-	cfg.Shards = o.shards
 	cfg.PollInterval = accturbo.FromDuration(time.Duration(o.pollMs) * time.Millisecond)
 	cfg.DeployDelay = cfg.PollInterval / 5
 	if o.reseedMs > 0 {
@@ -521,19 +519,27 @@ func (c configPatch) toRuntimePatch() (accturbo.RuntimePatch, error) {
 		}
 		p.Ranking = &r
 	}
-	ms := func(v *float64) *accturbo.VirtualTime {
+	var err error
+	ms := func(name string, v *float64) *accturbo.VirtualTime {
 		if v == nil {
 			return nil
 		}
-		t := accturbo.FromDuration(time.Duration(*v * float64(time.Millisecond)))
+		// Converting a float outside int64 to an integer is
+		// implementation-defined in Go, so range-check first.
+		ns := *v * float64(time.Millisecond)
+		if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+			err = fmt.Errorf("%s: %g ms is out of range for a duration", name, *v)
+			return nil
+		}
+		t := accturbo.FromDuration(time.Duration(ns))
 		return &t
 	}
-	p.PollInterval = ms(c.PollMs)
-	p.DeployDelay = ms(c.DeployMs)
-	p.ReseedInterval = ms(c.ReseedMs)
-	p.FailOpenAfter = ms(c.FailOpenMs)
-	p.WatchdogInterval = ms(c.WatchdogMs)
-	return p, nil
+	p.PollInterval = ms("poll_interval_ms", c.PollMs)
+	p.DeployDelay = ms("deploy_delay_ms", c.DeployMs)
+	p.ReseedInterval = ms("reseed_interval_ms", c.ReseedMs)
+	p.FailOpenAfter = ms("fail_open_after_ms", c.FailOpenMs)
+	p.WatchdogInterval = ms("watchdog_interval_ms", c.WatchdogMs)
+	return p, err
 }
 
 func writeConfig(w http.ResponseWriter, d *accturbo.Defense) {

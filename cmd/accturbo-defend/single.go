@@ -116,8 +116,8 @@ func runSingle(o *options, cfg accturbo.Config, src *captureStream, mapped *pcap
 		// Batched ingest: the deterministic pipeline's clock advances to
 		// each batch's first timestamp, so control-loop ticks quantize to
 		// batch boundaries (the amortization trade-off); in real time
-		// whole batches fan out to the workers, each amortizing the shard
-		// locks and counter flushes over the batch.
+		// whole batches fan out to the workers, each amortizing the
+		// clusterer lock and counter flushes over the batch.
 		observe := func(at time.Duration, b []*packet.Packet) { d.ObserveBatch(at, b, nil) }
 		finish := func() {}
 		if o.realtime {
@@ -204,8 +204,8 @@ func runSingle(o *options, cfg accturbo.Config, src *captureStream, mapped *pcap
 			n, o.replayLoops, elapsed.Seconds(), rate/1e6, replayRejected, replayRetries)
 	}
 	if o.realtime {
-		fmt.Printf("real-time mode: %d shards, %d ingest goroutines, %.0f pkts/s wall, %d deployments, %d observed, %d shed\n",
-			d.Shards(), o.ingest, rate, d.Deployments(), d.PacketsObserved(), d.IngestShed())
+		fmt.Printf("real-time mode: %d ingest goroutines, %.0f pkts/s wall, %d deployments, %d observed, %d shed\n",
+			o.ingest, rate, d.Deployments(), d.PacketsObserved(), d.IngestShed())
 	}
 	src.printChaos(true)
 	if h := d.Health(); cfg.FailOpenAfter > 0 && (h.Control.FailOpenEngagements > 0 || h.Control.PanicsRecovered > 0) {
@@ -254,8 +254,8 @@ func workerPool[T any](workers, queue int, work func(T)) (send func(T), finish f
 
 // replayFrames is the wire-speed frame replay: raw frames stream
 // zero-copy out of the mapped capture into an exclusive SPSC lane, with
-// batched publish; the per-shard consumers run the fused decode. A full
-// ring flushes and yields (the consumers need the core) rather than
+// batched publish and the fused feature decode at the producer. A full
+// ring flushes and yields (the consumer needs the core) rather than
 // shedding, so the measured rate is lossless.
 func replayFrames(d *accturbo.Defense, mapped *pcap.MappedReader, capacity, loops int) (n int, retries, rejected uint64) {
 	if err := d.EnableIngest(capacity, 1); err != nil {

@@ -7,21 +7,17 @@ import (
 	"time"
 )
 
-// TestShardedDefenseConcurrentIngest hammers a sharded Defense from
+// TestConcurrentDefenseIngest hammers a real-time Defense from
 // GOMAXPROCS goroutines (run under -race in CI) and checks the two
 // invariants a concurrent pipeline must keep: conservation — every
 // packet fed comes back out as exactly one assignment — and validity —
 // every verdict names a real cluster slot and a real queue.
-func TestShardedDefenseConcurrentIngest(t *testing.T) {
+func TestConcurrentDefenseIngest(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Shards = 4
 	cfg.PollInterval = FromDuration(2 * time.Millisecond)
 	cfg.DeployDelay = FromDuration(time.Millisecond)
-	d := NewDefense(cfg)
+	d := NewRealTimeDefense(cfg)
 	defer d.Close()
-	if d.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", d.Shards())
-	}
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
@@ -89,17 +85,16 @@ func TestShardedDefenseConcurrentIngest(t *testing.T) {
 // a deployment that demotes the flood out of the top queue.
 func TestRealTimeDefenseDeploys(t *testing.T) {
 	cfg := HardwareConfig()
-	cfg.Shards = 2
 	cfg.PollInterval = FromDuration(5 * time.Millisecond)
 	cfg.DeployDelay = FromDuration(time.Millisecond)
 	d := NewRealTimeDefense(cfg)
 	defer d.Close()
 
-	// Feed a dominant flood plus diverse benign flows (so both shards
-	// hold clusters in several slots) until a deployment lands that
-	// demotes the flood's merged slot out of the top queue. The first
-	// deployment may predate the benign clusters and legitimately map a
-	// lone flood cluster to queue 0, hence the retry loop.
+	// Feed a dominant flood plus diverse benign flows (so clusters form
+	// in several slots) until a deployment lands that demotes the
+	// flood's slot out of the top queue. The first deployment may
+	// predate the benign clusters and legitimately map a lone flood
+	// cluster to queue 0, hence the retry loop.
 	deadline := time.Now().Add(5 * time.Second)
 	demoted := false
 	for n := 0; time.Now().Before(deadline); n++ {
@@ -122,5 +117,34 @@ func TestRealTimeDefenseDeploys(t *testing.T) {
 	}
 	if !demoted {
 		t.Fatal("flood never demoted out of the highest-priority queue")
+	}
+}
+
+// TestDefenseRejectsShards: the data plane runs one clustering
+// pipeline, so both constructors refuse any other Shards value with the
+// Validate error instead of building something else.
+func TestDefenseRejectsShards(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	want := cfg.Validate()
+	if want == nil {
+		t.Fatal("Validate accepted Shards = 2")
+	}
+	for name, build := range map[string]func(Config) (*Defense, error){
+		"NewDefenseE":         NewDefenseE,
+		"NewRealTimeDefenseE": NewRealTimeDefenseE,
+	} {
+		d, err := build(cfg)
+		if d != nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("%s(Shards = 2) = %v, %v; want nil, %v", name, d, err, want)
+		}
+	}
+	for _, n := range []int{0, 1} {
+		cfg.Shards = n
+		d, err := NewDefenseE(cfg)
+		if err != nil {
+			t.Fatalf("NewDefenseE(Shards = %d): %v", n, err)
+		}
+		d.Close()
 	}
 }

@@ -1,7 +1,7 @@
-// Realtime: run the concurrent, sharded ACC-Turbo pipeline on the wall
-// clock — the software-router deployment shape. Several goroutines feed
-// packets simultaneously (flood + benign mix), the control loop polls
-// real time, and the flood's aggregate is demoted while ingest is still
+// Realtime: run the concurrent ACC-Turbo pipeline on the wall clock —
+// the software-router deployment shape. Several goroutines feed packets
+// simultaneously (flood + benign mix), the control loop polls real
+// time, and the flood's aggregate is demoted while ingest is still
 // running.
 //
 //	go run ./examples/realtime
@@ -19,16 +19,15 @@ import (
 )
 
 func main() {
-	// Four shards of four clusters each over the hardware feature set.
-	// With Shards > 1 the pipeline is goroutine-safe: packets demux to
-	// per-shard clusterers by flow hash and the controller ranks the
-	// merged view every PollInterval of wall time.
+	// Four clusters over the hardware feature set. The real-time
+	// pipeline is goroutine-safe: every goroutine feeds the one
+	// clusterer and the controller ranks it every PollInterval of wall
+	// time.
 	cfg := accturbo.HardwareConfig()
 	cfg.Clustering.SliceInit = true
-	cfg.Shards = 4
 	cfg.PollInterval = accturbo.FromDuration(20 * time.Millisecond)
 	cfg.DeployDelay = accturbo.FromDuration(2 * time.Millisecond)
-	d := accturbo.NewDefense(cfg) // Shards > 1 selects the real-time driver
+	d := accturbo.NewRealTimeDefense(cfg)
 	defer d.Close()
 
 	workers := runtime.GOMAXPROCS(0)
@@ -78,12 +77,12 @@ func main() {
 	}
 	fv := d.Process(0, flood)
 
-	fmt.Printf("== %d shards, %d ingest goroutines, %.0f pkts/s ==\n",
-		d.Shards(), workers, float64(d.PacketsObserved())/elapsed.Seconds())
+	fmt.Printf("== %d ingest goroutines, %.0f pkts/s ==\n",
+		workers, float64(d.PacketsObserved())/elapsed.Seconds())
 	fmt.Printf("packets fed %d, observed %d (conservation), %d deployments\n",
 		sent.Load()+1, d.PacketsObserved(), d.Deployments())
 
-	fmt.Println("\nmerged cluster state (the operator view, §10):")
+	fmt.Println("\ncluster state (the operator view, §10):")
 	for _, info := range d.Clusters() {
 		fmt.Printf("cluster %d -> queue %d: %8d pkts since start, size %.0f\n",
 			info.ID, d.QueueOf(info.ID), info.TotalPackets, info.Size)

@@ -14,14 +14,14 @@ import (
 
 // The ingest stage is the bounded hand-off between capture threads and
 // the data plane, built on lock-free SPSC rings (internal/ring): one
-// lanes × shards matrix of compact feature records, where every ring
-// has exactly one producer (a lane) and one consumer (that shard's
-// drain goroutine). Packets demux to their flow-hash shard and are
-// reduced to their clustering features at offer time, so a shard's
-// consumer feeds its clusterer directly with ObserveShardFrames — no
-// grouping pass, no shared queue, no lock anywhere on the hot path.
+// ring of compact feature records per lane, where every ring has
+// exactly one producer (a lane) and one consumer (the drain
+// goroutine). Packets are reduced to their clustering features at
+// offer time, so the consumer feeds the clusterer directly with
+// ObserveShardFrames — no shared queue, and no lock on the wire-speed
+// producer path.
 //
-// Two producer APIs share the matrix:
+// Two producer APIs share the rings:
 //
 //   - Offer (any goroutine): extracts a decoded packet's features and
 //     round-robins over lanes under a per-lane mutex. The mutex only
@@ -41,9 +41,9 @@ import (
 // overload degrades visibly.
 type ingestStage struct {
 	d     *Defense
-	rings [][]*ring.SPSC[core.FrameFeatures] // [lane][shard]
+	rings []*ring.SPSC[core.FrameFeatures] // one per lane
 	lanes []ingestLaneState
-	wake  []chan struct{} // per-shard consumer doorbells
+	wake  chan struct{} // the consumer's doorbell
 	wg    sync.WaitGroup
 
 	capacity int // sum of ring capacities, reported by Health
@@ -68,26 +68,25 @@ type ingestLaneState struct {
 	_     [40]byte // keep neighbouring lanes off one cache line
 }
 
-// ingestBatch is the per-consumer drain granularity. It bounds consumer
-// buffer footprint and keeps a shard's counting scratch cache-resident.
+// ingestBatch is the consumer's drain granularity. It bounds the
+// consumer's buffer footprint and keeps the batch cache-resident.
 const ingestBatch = 256
 
 // laneFlushEvery is the wire path's auto-publish threshold: OfferFrame
-// publishes a lane's pending pushes to a shard once this many stack up,
+// publishes a lane's pending pushes once this many stack up,
 // amortizing the cross-core store without letting frames linger.
 const laneFlushEvery = 64
 
 // EnableIngest starts the bounded ingest stage on a real-time pipeline:
-// `lanes` producer lanes feed one drain goroutine per data-plane shard
-// through single-producer/single-consumer rings, with the given total
-// buffer capacity split evenly across the lane×shard ring matrix (each
-// ring rounds up to a power of two, so the effective total — reported
-// by Health — may exceed the request). After this, feed packets with Offer
-// or claim a lane for raw frames with Lane. Close drains the stage
-// before stopping the control loop. It errors in deterministic mode
-// (whose single-threaded Process needs no queue) and when called twice.
-// Consumers are fixed at one per shard; more lanes mean less
-// co-producer serialization on Offer.
+// `lanes` producer lanes feed one drain goroutine through
+// single-producer/single-consumer rings, with the given total buffer
+// capacity split evenly across the lanes' rings (each ring rounds up to
+// a power of two, so the effective total — reported by Health — may
+// exceed the request). After this, feed packets with Offer or claim a
+// lane for raw frames with Lane. Close drains the stage before stopping
+// the control loop. It errors in deterministic mode (whose
+// single-threaded Process needs no queue) and when called twice. More
+// lanes mean less co-producer serialization on Offer.
 func (d *Defense) EnableIngest(capacity, lanes int) error {
 	if d.clock == nil {
 		return fmt.Errorf("accturbo: EnableIngest requires the real-time pipeline")
@@ -95,41 +94,32 @@ func (d *Defense) EnableIngest(capacity, lanes int) error {
 	if capacity <= 0 || lanes <= 0 {
 		return fmt.Errorf("accturbo: EnableIngest(%d, %d): capacity and lanes must be positive", capacity, lanes)
 	}
-	shards := d.dp.NumShards()
-	perRing := capacity / (lanes * shards)
+	perRing := capacity / lanes
 	if perRing < 2 {
 		perRing = 2
 	}
 	in := &ingestStage{
 		d:     d,
-		rings: make([][]*ring.SPSC[core.FrameFeatures], lanes),
+		rings: make([]*ring.SPSC[core.FrameFeatures], lanes),
 		lanes: make([]ingestLaneState, lanes),
-		wake:  make([]chan struct{}, shards),
+		wake:  make(chan struct{}, 1),
 		feats: d.dp.Config().Clustering.Features,
 	}
 	for l := range in.rings {
-		in.rings[l] = make([]*ring.SPSC[core.FrameFeatures], shards)
-		for s := range in.rings[l] {
-			in.rings[l][s] = ring.New[core.FrameFeatures](perRing)
-			in.capacity += in.rings[l][s].Cap()
-		}
-	}
-	for s := range in.wake {
-		in.wake[s] = make(chan struct{}, 1)
+		in.rings[l] = ring.New[core.FrameFeatures](perRing)
+		in.capacity += in.rings[l].Cap()
 	}
 	if !d.ingest.CompareAndSwap(nil, in) {
 		return fmt.Errorf("accturbo: ingest already enabled")
 	}
-	for s := 0; s < shards; s++ {
-		in.wg.Add(1)
-		go in.drainShard(s)
-	}
+	in.wg.Add(1)
+	go in.drain()
 	return nil
 }
 
 // Offer hands a packet's clustering features to the bounded ingest
 // stage without blocking: it returns false — and counts the packet as
-// shed — when the packet's shard ring is full (backpressure) or the
+// shed — when every unclaimed lane's ring is full (backpressure) or the
 // stage is already closed. The packet is not retained, and its Label is
 // not carried: ingested traffic counts as benign, as on hardware. Safe
 // from any goroutine. Callers that must not lose packets should treat
@@ -143,7 +133,6 @@ func (d *Defense) Offer(p *Packet) bool {
 		in.shed.Inc()
 		return false
 	}
-	si := d.dp.ShardOf(p)
 	ff := core.FrameFeatures{Size: uint32(p.Length)}
 	in.feats.Extract(p, ff.Vals[:len(in.feats)])
 	lanes := uint64(len(in.lanes))
@@ -156,14 +145,14 @@ func (d *Defense) Offer(p *Packet) bool {
 			lane.mu.Unlock()
 			continue
 		}
-		ok := in.rings[l][si].TryPush(ff)
+		ok := in.rings[l].TryPush(ff)
 		lane.mu.Unlock()
 		if ok {
-			in.signal(si)
+			in.signal()
 			return true
 		}
-		// This lane's ring for the shard is full; another lane may have
-		// room (its ring is a distinct buffer).
+		// This lane's ring is full; another lane may have room (its
+		// ring is a distinct buffer).
 	}
 	in.shed.Inc()
 	return false
@@ -177,7 +166,7 @@ const (
 	// OfferAccepted: the frame is queued and will be classified (after
 	// the lane's next flush, for batched pushes).
 	OfferAccepted OfferResult = iota
-	// OfferFull: the frame's shard ring had no room; the frame was shed
+	// OfferFull: the lane's ring had no room; the frame was shed
 	// under backpressure and counted in IngestShed.
 	OfferFull
 	// OfferRejected: the bytes are not a classifiable IPv4 frame
@@ -194,17 +183,15 @@ const (
 // published to its consumer.
 type IngestLane struct {
 	in      *ingestStage
-	rings   []*ring.SPSC[core.FrameFeatures]
-	pending []int32 // unpublished pushes per shard ring
-	dirty   []int32 // shards touched since the last Flush, in first-push order
-	isDirty []bool  // membership flags for dirty
+	ring    *ring.SPSC[core.FrameFeatures]
+	pending int // unpublished pushes
 }
 
 // Lane claims producer lane l (0 <= l < the lane count given to
 // EnableIngest) for exclusive wire-speed use. From then on Offer
 // skips that lane; claiming every lane leaves Offer nowhere to queue,
 // so mixed deployments should reserve at least one unclaimed lane.
-// Claiming the same lane twice returns the same ring set — the caller
+// Claiming the same lane twice returns the same ring — the caller
 // owns the "one producer goroutine" contract.
 func (d *Defense) Lane(l int) *IngestLane {
 	in := d.ingest.Load()
@@ -218,22 +205,15 @@ func (d *Defense) Lane(l int) *IngestLane {
 	lane.mu.Lock()
 	lane.wired = true
 	lane.mu.Unlock()
-	shards := len(in.rings[l])
-	return &IngestLane{
-		in:      in,
-		rings:   in.rings[l],
-		pending: make([]int32, shards),
-		dirty:   make([]int32, 0, shards),
-		isDirty: make([]bool, shards),
-	}
+	return &IngestLane{in: in, ring: in.rings[l]}
 }
 
 // OfferFrame validates one raw IPv4 frame, decodes its clustering
 // features in place (the fused packet.FrameView path — the header bytes
 // are only read during this call, never retained), and queues them on
-// the flow's shard ring. Pushes publish in batches of laneFlushEvery
-// per shard; call Flush to publish a tail immediately. Not safe for
-// concurrent use — one goroutine per lane.
+// the lane's ring. Pushes publish in batches of laneFlushEvery; call
+// Flush to publish a tail immediately. Not safe for concurrent use —
+// one goroutine per lane.
 func (l *IngestLane) OfferFrame(frame []byte) OfferResult {
 	v, err := packet.ParseFrame(frame)
 	if err != nil {
@@ -244,56 +224,45 @@ func (l *IngestLane) OfferFrame(frame []byte) OfferResult {
 		l.in.shed.Inc()
 		return OfferClosed
 	}
-	si := l.in.d.dp.ShardOfFrame(&v)
 	var ff core.FrameFeatures
 	ff.Size = uint32(v.Length())
 	v.Features(l.in.feats, ff.Vals[:len(l.in.feats)])
-	if !l.rings[si].Push(ff) {
+	if !l.ring.Push(ff) {
 		l.in.shed.Inc()
 		return OfferFull
 	}
-	if !l.isDirty[si] {
-		l.isDirty[si] = true
-		l.dirty = append(l.dirty, int32(si))
-	}
-	l.pending[si]++
-	if l.pending[si] >= laneFlushEvery {
-		l.rings[si].Publish()
-		l.pending[si] = 0
-		l.in.signal(si)
+	l.pending++
+	if l.pending >= laneFlushEvery {
+		l.Flush()
 	}
 	return OfferAccepted
 }
 
-// Flush publishes every pending push on the lane and wakes the affected
-// consumers. Call it when the capture loop goes idle and before Close.
+// Flush publishes every pending push on the lane and wakes the
+// consumer. Call it when the capture loop goes idle and before Close.
 func (l *IngestLane) Flush() {
-	for _, si := range l.dirty {
-		l.rings[si].Publish()
-		if l.pending[si] > 0 {
-			l.in.signal(int(si))
-		}
-		l.pending[si] = 0
-		l.isDirty[si] = false
+	if l.pending > 0 {
+		l.ring.Publish()
+		l.pending = 0
+		l.in.signal()
 	}
-	l.dirty = l.dirty[:0]
 }
 
-// signal rings shard si's consumer doorbell without blocking; a full
+// signal rings the consumer's doorbell without blocking; a full
 // doorbell means a wake-up is already pending.
-func (in *ingestStage) signal(si int) {
+func (in *ingestStage) signal() {
 	select {
-	case in.wake[si] <- struct{}{}:
+	case in.wake <- struct{}{}:
 	default:
 	}
 }
 
-// drainShard is shard si's consumer: it sweeps every lane's ring for
-// the shard, popping straight into one batch buffer that feeds the
-// shard's clusterer through ObserveShardFrames. It parks on the shard
-// doorbell when all rings are empty (with a timer backstop for publishes
-// that raced the park) and exits once every ring is closed and drained.
-func (in *ingestStage) drainShard(si int) {
+// drain is the consumer: it sweeps every lane's ring, popping straight
+// into one batch buffer that feeds the clusterer through
+// ObserveShardFrames. It parks on the doorbell when all rings are empty
+// (with a timer backstop for publishes that raced the park) and exits
+// once every ring is closed and drained.
+func (in *ingestStage) drain() {
 	defer in.wg.Done()
 	batch := make([]core.FrameFeatures, ingestBatch)
 	timer := time.NewTimer(time.Hour)
@@ -304,14 +273,13 @@ func (in *ingestStage) drainShard(si int) {
 		// close only after their final publish).
 		allClosed := true
 		swept := 0
-		for _, lane := range in.rings {
-			r := lane[si]
+		for _, r := range in.rings {
 			if !r.Closed() {
 				allClosed = false
 			}
 			for n := r.PopBatch(batch); n > 0; n = r.PopBatch(batch) {
 				swept += n
-				in.d.dp.ObserveShardFrames(si, batch[:n], nil)
+				in.d.dp.ObserveShardFrames(0, batch[:n], nil)
 			}
 		}
 		if swept > 0 {
@@ -328,20 +296,18 @@ func (in *ingestStage) drainShard(si int) {
 		}
 		timer.Reset(time.Millisecond)
 		select {
-		case <-in.wake[si]:
+		case <-in.wake:
 		case <-timer.C:
 		}
 	}
 }
 
 // depth reports the number of queued, unconsumed records across the
-// ring matrix (a point-in-time estimate).
+// rings (a point-in-time estimate).
 func (in *ingestStage) depth() int {
 	n := 0
-	for _, lane := range in.rings {
-		for _, r := range lane {
-			n += r.Len()
-		}
+	for _, r := range in.rings {
+		n += r.Len()
 	}
 	return n
 }
@@ -355,17 +321,13 @@ func (in *ingestStage) close() {
 	if in.closed.Swap(true) {
 		return
 	}
-	for l, lane := range in.rings {
+	for l, r := range in.rings {
 		in.lanes[l].mu.Lock()
-		for _, r := range lane {
-			r.Publish()
-			r.Close()
-		}
+		r.Publish()
+		r.Close()
 		in.lanes[l].mu.Unlock()
 	}
-	for si := range in.wake {
-		in.signal(si)
-	}
+	in.signal()
 	in.wg.Wait()
 }
 

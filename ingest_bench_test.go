@@ -13,15 +13,15 @@ import (
 // Ingest-path benchmarks: the numbers behind the README Mpps headline
 // and the BENCH_ingest.json baseline the CI trend gate protects. All
 // three report amortized ns per packet through the SPSC ring pipeline —
-// producer work, hand-off, and the per-shard classifying consumer all
-// included (they share the CPU, exactly as a deployment's offered load
-// would see it).
+// producer work, hand-off, and the classifying consumer all included
+// (they share the CPU, exactly as a deployment's offered load would see
+// it).
 
 // benchDefense builds a real-time pipeline with the bounded ingest
 // stage enabled, mirroring cmd/accturbo-defend's replay setup.
-func benchDefense(b *testing.B, shards, capacity, lanes int) *Defense {
+func benchDefense(b *testing.B, capacity, lanes int) *Defense {
 	b.Helper()
-	d := NewRealTimeDefense(realtimeCfg(shards))
+	d := NewRealTimeDefense(realtimeCfg())
 	if err := d.EnableIngest(capacity, lanes); err != nil {
 		b.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func benchDefense(b *testing.B, shards, capacity, lanes int) *Defense {
 // BenchmarkIngestOffer is the decoded-packet producer API: features
 // extracted at the producer into the per-lane ring under the lane mutex.
 func BenchmarkIngestOffer(b *testing.B) {
-	d := benchDefense(b, 1, 1<<13, 1)
+	d := benchDefense(b, 1<<13, 1)
 	defer d.Close()
 	pkts := make([]*Packet, 1024)
 	for i := range pkts {
@@ -50,7 +50,7 @@ func BenchmarkIngestOffer(b *testing.B) {
 // frames through the fused feature decode and an exclusive lane with
 // batched publish.
 func BenchmarkIngestOfferFrame(b *testing.B) {
-	d := benchDefense(b, 1, 1<<13, 1)
+	d := benchDefense(b, 1<<13, 1)
 	defer d.Close()
 	lane := d.Lane(0)
 	frames := frameCorpus(b, 1024)
@@ -96,7 +96,7 @@ func BenchmarkReplayFrames(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := benchDefense(b, 1, 1<<13, 1)
+	d := benchDefense(b, 1<<13, 1)
 	defer d.Close()
 	lane := d.Lane(0)
 	b.ReportAllocs()

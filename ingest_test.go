@@ -9,9 +9,8 @@ import (
 	"time"
 )
 
-func realtimeCfg(shards int) Config {
+func realtimeCfg() Config {
 	cfg := DefaultConfig()
-	cfg.Shards = shards
 	cfg.PollInterval = FromDuration(5 * time.Millisecond)
 	cfg.DeployDelay = FromDuration(time.Millisecond)
 	return cfg
@@ -21,7 +20,7 @@ func realtimeCfg(shards int) Config {
 // packets are all classified by Close, shed ones are all counted —
 // across multiple producer goroutines on the ring-based stage.
 func TestIngestConservation(t *testing.T) {
-	d := NewRealTimeDefense(realtimeCfg(4))
+	d := NewRealTimeDefense(realtimeCfg())
 	if err := d.EnableIngest(1024, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestIngestConservation(t *testing.T) {
 // -race gate on the atomic closed flag and the ring close protocol.
 func TestIngestCloseWhileOffering(t *testing.T) {
 	for iter := 0; iter < 8; iter++ {
-		d := NewRealTimeDefense(realtimeCfg(2))
+		d := NewRealTimeDefense(realtimeCfg())
 		if err := d.EnableIngest(256, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +113,7 @@ func frameCorpus(t testing.TB, n int) [][]byte {
 // Flush) are all classified, malformed bytes are rejected and counted,
 // and Offer keeps working on the unclaimed lane alongside.
 func TestIngestLaneFrames(t *testing.T) {
-	d := NewRealTimeDefense(realtimeCfg(4))
+	d := NewRealTimeDefense(realtimeCfg())
 	if err := d.EnableIngest(4096, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestIngestLaneFrames(t *testing.T) {
 // clusterer in exactly the same state.
 func TestOfferMatchesOfferFrame(t *testing.T) {
 	const n = 3000
-	cfg := realtimeCfg(1)
+	cfg := realtimeCfg()
 	cfg.ReseedInterval = 0
 	cfg.PollInterval = FromDuration(time.Hour) // no poll resets the window counters
 	viaOffer := NewRealTimeDefense(cfg)
@@ -206,7 +205,7 @@ func TestOfferMatchesOfferFrame(t *testing.T) {
 // use, Offer has nowhere to queue and must shed, not race a
 // lock-free producer.
 func TestIngestLaneClaimExcludesOffer(t *testing.T) {
-	d := NewRealTimeDefense(realtimeCfg(1))
+	d := NewRealTimeDefense(realtimeCfg())
 	if err := d.EnableIngest(64, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,7 @@ func TestIngestLaneClaimExcludesOffer(t *testing.T) {
 // TestIngestHealthDepth: Health reports the ring matrix's capacity and
 // current depth.
 func TestIngestHealthDepth(t *testing.T) {
-	d := NewRealTimeDefense(realtimeCfg(2))
+	d := NewRealTimeDefense(realtimeCfg())
 	if err := d.EnableIngest(512, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +237,12 @@ func TestIngestHealthDepth(t *testing.T) {
 }
 
 // TestOfferFrameZeroAlloc gates the wire-speed producer hot path:
-// parse, shard, push, and batched publish allocate nothing.
+// parse, feature decode, push, and batched publish allocate nothing.
 func TestOfferFrameZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	d := NewRealTimeDefense(realtimeCfg(2))
+	d := NewRealTimeDefense(realtimeCfg())
 	if err := d.EnableIngest(1<<16, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,14 @@ package cluster
 //
 // Slot i of the result covers the union of slot i across all snapshots
 // that have seeded it: per-feature ranges take the enclosing interval,
-// traffic counters sum, and the nominal cardinality takes the per-shard
-// maximum (a lower bound on the true union — snapshots carry
+// traffic counters sum, and the nominal cardinality takes the
+// per-snapshot maximum (a lower bound on the true union — snapshots carry
 // cardinalities, not value sets, exactly like the hardware's per-pipe
 // registers). Size is recomputed from the merged widths under the given
 // distance: sum of (width−1) contributions for the range-based metrics
 // (Manhattan, and Euclidean's bounding-box size), product of widths for
-// Anime. Distance normalization is not reapplied; sharded control loops
-// rank raw sizes.
+// Anime. Distance normalization is not reapplied; merged views rank raw
+// sizes.
 //
 // Mismatched slot counts merge best-effort by design, not error: the
 // result has max-over-snapshots slots, and a snapshot that is shorter

@@ -28,7 +28,7 @@ import (
 //     recomputing all |C|^2 pairs on every packet.
 //
 // The steady-state Observe path performs no allocations. Reference in
-// reference.go retains the naive implementation; equivalence tests
+// reference_test.go retains the naive implementation; equivalence tests
 // assert both produce identical assignments.
 //
 // Online is not safe for concurrent use; the simulator is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"accturbo/internal/packet"
@@ -9,62 +10,49 @@ import (
 // TestObserveBatchMatchesClassify: driving the same packet sequence
 // through ObserveBatch (in chunks) and through per-packet Classify must
 // produce identical queue choices, clusterer state, and aggregate
-// counters. Batch grouping preserves each shard's observation order, so
-// the two paths are the same computation.
+// counters. The clusterer sees the packets in the same order on both
+// paths, so they are the same computation.
 func TestObserveBatchMatchesClassify(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.Shards = shards
-		perPkt := NewDataplane(cfg, false)
-		batched := NewDataplane(cfg, false)
+	cfg := DefaultConfig()
+	perPkt := NewDataplane(cfg, false)
+	batched := NewDataplane(cfg, false)
 
-		const n = 4096
-		pkts := make([]*packet.Packet, n)
-		for i := range pkts {
-			pkts[i] = mkPkt(i)
+	const n = 4096
+	pkts := make([]*packet.Packet, n)
+	for i := range pkts {
+		pkts[i] = mkPkt(i)
+	}
+	wantQ := make([]int, n)
+	for i, p := range pkts {
+		_, wantQ[i] = perPkt.Classify(p)
+	}
+	gotQ := make([]int, n)
+	// Uneven chunk sizes exercise the batch seams.
+	for lo := 0; lo < n; {
+		hi := lo + 1 + (lo % 97)
+		if hi > n {
+			hi = n
 		}
-		wantQ := make([]int, n)
-		for i, p := range pkts {
-			_, wantQ[i] = perPkt.Classify(p)
-		}
-		gotQ := make([]int, n)
-		// Uneven chunk sizes exercise the grouping across batch seams.
-		for lo := 0; lo < n; {
-			hi := lo + 1 + (lo % 97)
-			if hi > n {
-				hi = n
-			}
-			batched.ObserveBatch(pkts[lo:hi], gotQ[lo:hi])
-			lo = hi
-		}
+		batched.ObserveBatch(pkts[lo:hi], gotQ[lo:hi])
+		lo = hi
+	}
 
-		for i := range wantQ {
-			if gotQ[i] != wantQ[i] {
-				t.Fatalf("shards=%d: packet %d routed to queue %d via batch, %d via Classify",
-					shards, i, gotQ[i], wantQ[i])
-			}
+	for i := range wantQ {
+		if gotQ[i] != wantQ[i] {
+			t.Fatalf("packet %d routed to queue %d via batch, %d via Classify", i, gotQ[i], wantQ[i])
 		}
-		if a, b := perPkt.Observed(), batched.Observed(); a != b {
-			t.Fatalf("shards=%d: observed %d vs %d", shards, b, a)
-		}
-		wantA, gotA := perPkt.AssignedCounts(), batched.AssignedCounts()
-		for i := range wantA {
-			if gotA[i] != wantA[i] {
-				t.Fatalf("shards=%d: assigned[%d] = %d via batch, %d via Classify", shards, i, gotA[i], wantA[i])
-			}
-		}
-		wantR, gotR := perPkt.RoutedCounts(), batched.RoutedCounts()
-		for i := range wantR {
-			if gotR[i] != wantR[i] {
-				t.Fatalf("shards=%d: routed[%d] = %d via batch, %d via Classify", shards, i, gotR[i], wantR[i])
-			}
-		}
-		for s := 0; s < shards; s++ {
-			a, b := perPkt.Clusterer(s).Snapshot(), batched.Clusterer(s).Snapshot()
-			if len(a) != len(b) {
-				t.Fatalf("shards=%d: shard %d cluster count %d vs %d", shards, s, len(b), len(a))
-			}
-		}
+	}
+	if a, b := perPkt.Observed(), batched.Observed(); a != b {
+		t.Fatalf("observed %d vs %d", b, a)
+	}
+	if a, b := perPkt.AssignedCounts(), batched.AssignedCounts(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("assigned %v via batch, %v via Classify", b, a)
+	}
+	if a, b := perPkt.RoutedCounts(), batched.RoutedCounts(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("routed %v via batch, %v via Classify", b, a)
+	}
+	if a, b := perPkt.Snapshot(), batched.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatal("cluster state diverged between batch and Classify")
 	}
 }
 
@@ -104,35 +92,29 @@ func TestObserveBatchShortQueuesPanics(t *testing.T) {
 }
 
 // TestObserveBatchZeroAlloc is the unit gate on the batched per-packet
-// path: once the clusterers and scratch are warm, classifying a batch
-// allocates nothing, single- and multi-shard.
+// path: once the clusterer is warm, classifying a batch allocates
+// nothing.
 func TestObserveBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race detector randomizes sync.Pool retention; scratch reuse is not guaranteed")
+		t.Skip("allocation counts are not meaningful under -race")
 	}
-	for _, shards := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.Shards = shards
-		dp := NewDataplane(cfg, false)
-		pkts := make([]*packet.Packet, 256)
-		for i := range pkts {
-			pkts[i] = mkPkt(i)
-		}
-		queues := make([]int, len(pkts))
-		dp.ObserveBatch(pkts, queues) // warm clusterers and scratch
-		allocs := testing.AllocsPerRun(100, func() {
-			dp.ObserveBatch(pkts, queues)
-		})
-		if allocs != 0 {
-			t.Fatalf("shards=%d: ObserveBatch allocates %v per batch, want 0", shards, allocs)
-		}
+	dp := NewDataplane(DefaultConfig(), false)
+	pkts := make([]*packet.Packet, 256)
+	for i := range pkts {
+		pkts[i] = mkPkt(i)
+	}
+	queues := make([]int, len(pkts))
+	dp.ObserveBatch(pkts, queues) // warm the clusterer
+	allocs := testing.AllocsPerRun(100, func() {
+		dp.ObserveBatch(pkts, queues)
+	})
+	if allocs != 0 {
+		t.Fatalf("ObserveBatch allocates %v per batch, want 0", allocs)
 	}
 }
 
 func BenchmarkDataplaneObserveBatch(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	dp := NewDataplane(cfg, false)
+	dp := NewDataplane(DefaultConfig(), false)
 	pkts := make([]*packet.Packet, 256)
 	for i := range pkts {
 		pkts[i] = mkPkt(i)

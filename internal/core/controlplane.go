@@ -20,7 +20,7 @@ import (
 // (WallClock).
 type ControlPlane struct {
 	// cfg holds the structural half of the configuration — feature set,
-	// cluster/queue counts, shards — which is fixed at construction. The
+	// cluster/queue counts — which is fixed at construction. The
 	// hot-reloadable half lives in rt and is re-read on every tick.
 	cfg Config
 	dp  *Dataplane

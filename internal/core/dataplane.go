@@ -14,25 +14,30 @@ import (
 // packet is offered (Assign/Classify) or when the control plane pushes
 // a decision in (Deploy, ResetStats, Reseed).
 //
-// The pipeline is sharded like a multi-pipe Tofino (§7.1 runs one
-// clusterer per pipeline): packets are demuxed to one of N independent
-// clusterers by an RSS-style flow hash, so packets of the same flow
-// always meet the same clusterer. Cluster slot IDs are a shared
-// namespace across shards — slot i of every shard feeds the same row of
-// the deployed queue mapping, exactly as the per-pipe register copies
-// on hardware share one controller-installed mapping.
+// It runs one online clusterer (§4), the one pipeline the control plane
+// polls and re-ranks (§5).
 //
 // Concurrency contract: with concurrent=false (the deterministic
 // simulator path) the Dataplane must be driven from a single goroutine
-// and the hot path takes no locks. With concurrent=true each shard is
-// guarded by its own mutex, the queue mapping is swapped atomically,
-// and Assign/Classify are safe from any number of goroutines; the
-// clusterer hot path itself stays lock-free — callers that demux
-// flow-affine traffic one goroutine per shard (RSS) never contend.
+// and the hot path takes no locks. With concurrent=true one mutex
+// guards the clusterer and the batch counters, the queue mapping is
+// swapped atomically, and every method is safe from any number of
+// goroutines.
 type Dataplane struct {
 	cfg        Config
-	shards     []*shard
 	concurrent bool
+
+	// mu guards clusterer and batch; it is only taken in concurrent
+	// mode.
+	mu        sync.Mutex
+	clusterer *cluster.Online
+	// batch accumulates per-slot and per-queue counts over one
+	// ObserveBatch/ObserveShardFrames call, flushed to the telemetry
+	// stripes once per batch instead of twice per packet.
+	batch struct {
+		assigned []uint64
+		routed   []uint64
+	}
 
 	// queueMap is the live cluster-slot→queue mapping installed by the
 	// control plane. Readers load it atomically; Deploy swaps it whole,
@@ -41,143 +46,77 @@ type Dataplane struct {
 	queueMap Hot[[]int]
 
 	// assigned counts packets per cluster slot, routed counts packets
-	// per priority queue. Both are stripe-padded so concurrent writers
-	// rarely share a cache line: each shard owns countStripes stripes
-	// and a packet picks one by a cheap header hint, which also spreads
-	// the multiple ingest goroutines feeding one shard. Reads aggregate
-	// across all stripes lock-free.
+	// per priority queue. Both are striped across countStripes
+	// cache-line-padded stripes, and a packet picks one by a cheap
+	// header hint, so concurrent callers of Classify rarely share a
+	// counter line. Reads aggregate across all stripes lock-free.
 	assigned *telemetry.VecCounter
 	routed   *telemetry.VecCounter
-
-	// scratch recycles ObserveBatch working memory across batches (and,
-	// in concurrent mode, across ingest goroutines).
-	scratch sync.Pool
 }
 
-// batchScratch is ObserveBatch's reusable working memory: the
-// counting-sort buffers that group a batch by shard, and the per-batch
-// count accumulators flushed to the telemetry stripes once per shard
-// run instead of once per packet.
-type batchScratch struct {
-	idx      []int32  // packet indices, grouped by shard
-	shard    []int32  // per-packet shard, computed once
-	segStart []int32  // per-shard segment start in idx
-	segLen   []int32  // per-shard segment length
-	fill     []int32  // per-shard fill cursor during grouping
-	assigned []uint64 // per-cluster-slot counts for the current shard run
-	routed   []uint64 // per-queue counts for the current shard run
-}
-
-// countStripes is the number of counter stripes per shard. Power of
-// two; the stripe hint masks against it.
+// countStripes is the number of counter stripes. Power of two; the
+// stripe hint masks against it.
 const countStripes = 8
 
-// stripeOf picks the counter stripe for a packet on shard si: the
-// shard's stripe block, sub-striped by the source port's low bits so
-// concurrent writers to one shard spread across cache lines. Any value
-// is correct — stripes only partition the same aggregated total.
-func stripeOf(si int, p *packet.Packet) int {
-	return si*countStripes + int(p.SrcPort)&(countStripes-1)
+// stripeOf picks the counter stripe for a packet by the source port's
+// low bits. Any value is correct — stripes only partition the same
+// aggregated total.
+func stripeOf(p *packet.Packet) int {
+	return int(p.SrcPort) & (countStripes - 1)
 }
 
-// shard is one independent clustering pipeline. The mutex is only taken
-// in concurrent mode. The padding keeps neighbouring shards' write-hot
-// state (mutex, clusterer pointer targets) on distinct cache lines.
-type shard struct {
-	mu        sync.Mutex
-	clusterer *cluster.Online
-	_         [40]byte // pad to a cache line past the mutex
-}
-
-// NewDataplane builds the per-packet pipeline with cfg.Shards clusterer
-// shards (minimum 1). concurrent selects the locking mode documented on
-// Dataplane. It panics on an invalid configuration, like the other
-// constructors in this package.
+// NewDataplane builds the per-packet pipeline. concurrent selects the
+// locking mode documented on Dataplane. It panics on an invalid
+// configuration, like the other constructors in this package.
 func NewDataplane(cfg Config, concurrent bool) *Dataplane {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	cfg = cfg.withDefaults()
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
 	d := &Dataplane{
 		cfg:        cfg,
 		concurrent: concurrent,
-		assigned:   telemetry.NewVecCounter(cfg.Clustering.MaxClusters, n*countStripes),
-		routed:     telemetry.NewVecCounter(cfg.NumQueues, n*countStripes),
+		clusterer:  cluster.NewOnline(cfg.Clustering),
+		assigned:   telemetry.NewVecCounter(cfg.Clustering.MaxClusters, countStripes),
+		routed:     telemetry.NewVecCounter(cfg.NumQueues, countStripes),
 	}
-	for i := 0; i < n; i++ {
-		d.shards = append(d.shards, &shard{clusterer: cluster.NewOnline(cfg.Clustering)})
-	}
-	d.scratch.New = func() any {
-		return &batchScratch{
-			segStart: make([]int32, n),
-			segLen:   make([]int32, n),
-			fill:     make([]int32, n),
-			assigned: make([]uint64, cfg.Clustering.MaxClusters),
-			routed:   make([]uint64, cfg.NumQueues),
-		}
-	}
+	d.batch.assigned = make([]uint64, cfg.Clustering.MaxClusters)
+	d.batch.routed = make([]uint64, cfg.NumQueues)
 	qm := make([]int, cfg.Clustering.MaxClusters)
 	d.queueMap.Store(&qm)
 	return d
 }
 
+// lock and unlock guard the clusterer in concurrent mode and are no-ops
+// in deterministic mode.
+func (d *Dataplane) lock() {
+	if d.concurrent {
+		d.mu.Lock()
+	}
+}
+
+func (d *Dataplane) unlock() {
+	if d.concurrent {
+		d.mu.Unlock()
+	}
+}
+
 // Config returns the (defaulted) configuration.
 func (d *Dataplane) Config() Config { return d.cfg }
 
-// NumShards returns the number of clustering pipelines.
-func (d *Dataplane) NumShards() int { return len(d.shards) }
+// Clusterer exposes the online clusterer for read-only inspection. In
+// concurrent mode the caller must not touch it while packets are in
+// flight.
+func (d *Dataplane) Clusterer() *cluster.Online { return d.clusterer }
 
-// Clusterer exposes shard s's online clusterer for read-only
-// inspection. In concurrent mode the caller must not touch it while
-// packets are in flight.
-func (d *Dataplane) Clusterer(s int) *cluster.Online { return d.shards[s].clusterer }
-
-// ShardOf returns the shard index packet p demuxes to: an FNV-1a hash
-// over the flow 5-tuple (packet.FlowHash, the struct-side twin of
-// FrameView.FlowHash), so all packets of a flow — and therefore all
-// packets of a tight aggregate — meet the same clusterer, whether they
-// arrive as structs or as raw frames.
-func (d *Dataplane) ShardOf(p *packet.Packet) int {
-	if len(d.shards) == 1 {
-		return 0
-	}
-	return int(packet.FlowHash(p) % uint32(len(d.shards)))
-}
-
-// ShardOfFrame is ShardOf for a raw frame view: the same flow hash over
-// the same 5-tuple, read straight from the frame bytes.
-func (d *Dataplane) ShardOfFrame(v *packet.FrameView) int {
-	if len(d.shards) == 1 {
-		return 0
-	}
-	return int(v.FlowHash() % uint32(len(d.shards)))
-}
-
-// Assign runs the clustering stage for one packet on its shard and
-// returns the explicit assignment — the value the caller threads to
-// QueueFor (or Classify does both). There is no implicit carry-over
-// between calls.
+// Assign runs the clustering stage for one packet and returns the
+// explicit assignment — the value the caller threads to QueueFor (or
+// Classify does both). There is no implicit carry-over between calls.
 func (d *Dataplane) Assign(p *packet.Packet) cluster.Assignment {
-	return d.assignOn(d.ShardOf(p), p)
-}
-
-// assignOn runs the clustering stage on a known shard, counting the
-// assignment on one of the shard's telemetry stripes.
-func (d *Dataplane) assignOn(si int, p *packet.Packet) cluster.Assignment {
-	s := d.shards[si]
-	var a cluster.Assignment
-	if !d.concurrent {
-		a = s.clusterer.Observe(p)
-	} else {
-		s.mu.Lock()
-		a = s.clusterer.Observe(p)
-		s.mu.Unlock()
-	}
-	d.assigned.Add(stripeOf(si, p), a.Cluster, 1)
+	d.lock()
+	a := d.clusterer.Observe(p)
+	d.unlock()
+	d.assigned.Add(stripeOf(p), a.Cluster, 1)
 	return a
 }
 
@@ -201,143 +140,61 @@ func (d *Dataplane) queueIn(qm []int, clusterID int) int {
 }
 
 // Classify is the full per-packet data-plane step: assign, then look up
-// the queue under the live mapping. The queue choice is counted on the
-// shard's routing stripe (RoutedCounts).
+// the queue under the live mapping. The queue choice is counted in
+// RoutedCounts.
 func (d *Dataplane) Classify(p *packet.Packet) (cluster.Assignment, int) {
-	si := d.ShardOf(p)
-	a := d.assignOn(si, p)
+	a := d.Assign(p)
 	q := d.QueueFor(a.Cluster)
-	d.routed.Add(stripeOf(si, p), q, 1)
+	d.routed.Add(stripeOf(p), q, 1)
 	return a, q
 }
 
 // ObserveBatch runs the full per-packet step (assign → queue lookup →
 // count) over a batch, amortizing what Classify pays per packet: the
-// queue mapping is loaded once, each shard's lock (concurrent mode) is
-// taken once per batch, and the telemetry stripes receive one flush
-// per shard run instead of two atomic adds per packet. Packets are
-// grouped by flow-hash shard first, so each shard's clusterer sees its
-// packets in batch order — the same order the per-packet path would
-// deliver.
+// queue mapping is loaded once, the lock (concurrent mode) is taken
+// once, and the telemetry stripes receive one flush per batch instead
+// of two atomic adds per packet. The clusterer sees the packets in
+// batch order — the same order the per-packet path would deliver.
 //
 // When queues is non-nil it must be at least len(pkts) long; entry i
 // receives packet i's priority queue. The aggregate counters
 // (AssignedCounts, RoutedCounts, Observed) advance exactly as if every
 // packet had gone through Classify.
 func (d *Dataplane) ObserveBatch(pkts []*packet.Packet, queues []int) {
-	n := len(pkts)
-	if n == 0 {
+	if len(pkts) == 0 {
 		return
 	}
-	if queues != nil && len(queues) < n {
+	if queues != nil && len(queues) < len(pkts) {
 		panic("core: ObserveBatch queues shorter than pkts")
 	}
 	qm := *d.queueMap.Load()
-	sc := d.scratch.Get().(*batchScratch)
-
-	if len(d.shards) == 1 {
-		// Single pipeline: no grouping pass needed.
-		d.runShard(0, pkts, nil, queues, qm, sc)
-		d.scratch.Put(sc)
-		return
-	}
-
-	// Group packet indices by shard with a counting sort; the flow hash
-	// is computed once per packet.
-	if cap(sc.idx) < n {
-		sc.idx = make([]int32, n)
-		sc.shard = make([]int32, n)
-	}
-	sc.idx = sc.idx[:n]
-	sc.shard = sc.shard[:n]
-	ns := uint32(len(d.shards))
-	for i := range sc.segLen {
-		sc.segLen[i] = 0
-	}
+	d.lock()
 	for i, p := range pkts {
-		si := int32(packet.FlowHash(p) % ns)
-		sc.shard[i] = si
-		sc.segLen[si]++
-	}
-	off := int32(0)
-	for si := range sc.segStart {
-		sc.segStart[si] = off
-		sc.fill[si] = off
-		off += sc.segLen[si]
-	}
-	for i := range pkts {
-		si := sc.shard[i]
-		sc.idx[sc.fill[si]] = int32(i)
-		sc.fill[si]++
-	}
-	for si := range d.shards {
-		if sc.segLen[si] == 0 {
-			continue
+		a := d.clusterer.Observe(p)
+		d.batch.assigned[a.Cluster]++
+		q := d.queueIn(qm, a.Cluster)
+		d.batch.routed[q]++
+		if queues != nil {
+			queues[i] = q
 		}
-		seg := sc.idx[sc.segStart[si] : sc.segStart[si]+sc.segLen[si]]
-		d.runShard(si, pkts, seg, queues, qm, sc)
 	}
-	d.scratch.Put(sc)
+	d.flushBatch(stripeOf(pkts[0]))
+	d.unlock()
 }
 
-// runShard observes one shard's slice of a batch and flushes the
-// accumulated counts to one of the shard's telemetry stripes. seg is
-// the packet-index segment for this shard, or nil for "all of pkts"
-// (the single-shard fast path). The stripe is picked from the run's
-// first packet — stripes only partition the same aggregated total, so
-// any choice is correct.
-func (d *Dataplane) runShard(si int, pkts []*packet.Packet, seg []int32, queues []int, qm []int, sc *batchScratch) {
-	s := d.shards[si]
-	if d.concurrent {
-		s.mu.Lock()
-	}
-	if seg == nil {
-		for i, p := range pkts {
-			a := s.clusterer.Observe(p)
-			sc.assigned[a.Cluster]++
-			q := d.queueIn(qm, a.Cluster)
-			sc.routed[q]++
-			if queues != nil {
-				queues[i] = q
-			}
-		}
-	} else {
-		for _, i := range seg {
-			p := pkts[i]
-			a := s.clusterer.Observe(p)
-			sc.assigned[a.Cluster]++
-			q := d.queueIn(qm, a.Cluster)
-			sc.routed[q]++
-			if queues != nil {
-				queues[i] = q
-			}
-		}
-	}
-	if d.concurrent {
-		s.mu.Unlock()
-	}
-	var first *packet.Packet
-	if seg == nil {
-		first = pkts[0]
-	} else {
-		first = pkts[seg[0]]
-	}
-	d.flushCounts(stripeOf(si, first), sc)
-}
-
-// flushCounts drains a scratch's per-run count accumulators onto one
-// telemetry stripe, zeroing them for the next run.
-func (d *Dataplane) flushCounts(stripe int, sc *batchScratch) {
-	for c, cnt := range sc.assigned {
+// flushBatch drains the batch count accumulators onto one telemetry
+// stripe, zeroing them for the next batch. The caller holds the lock.
+func (d *Dataplane) flushBatch(stripe int) {
+	for c, cnt := range d.batch.assigned {
 		if cnt != 0 {
 			d.assigned.Add(stripe, c, cnt)
-			sc.assigned[c] = 0
+			d.batch.assigned[c] = 0
 		}
 	}
-	for q, cnt := range sc.routed {
+	for q, cnt := range d.batch.routed {
 		if cnt != 0 {
 			d.routed.Add(stripe, q, cnt)
-			sc.routed[q] = 0
+			d.batch.routed[q] = 0
 		}
 	}
 }
@@ -355,57 +212,47 @@ type FrameFeatures struct {
 }
 
 // ObserveShardFrames runs the full per-packet step over a batch of
-// packets already reduced to their feature values and known to demux to
-// shard si — the per-shard ring consumer path, which skips
-// ObserveBatch's grouping pass entirely. Each entry feeds the shard's
-// clusterer through the fused ObserveFeatures path, so no Packet struct
-// is ever materialized. Entries carry no ground-truth label, so all
-// traffic counts as benign in the label telemetry — exactly what a
-// hardware deployment sees. The caller is responsible for the demux
-// invariant (every entry's flow hashed to shard si); breaking it
-// silently degrades clustering quality but nothing else. queues follows
-// the ObserveBatch contract.
+// packets already reduced to their feature values — the ingest
+// consumer path. Each entry feeds the clusterer through the fused
+// ObserveFeatures path, so no Packet struct is ever materialized.
+// Entries carry no ground-truth label, so all traffic counts as benign
+// in the label telemetry — exactly what a hardware deployment sees.
+// queues follows the ObserveBatch contract. si is the pipeline index,
+// kept in the signature for existing callers: there is one pipeline, so
+// it must be 0, and anything else panics.
 func (d *Dataplane) ObserveShardFrames(si int, frames []FrameFeatures, queues []int) {
-	n := len(frames)
-	if n == 0 {
+	if si != 0 {
+		panic("core: ObserveShardFrames on pipeline other than 0")
+	}
+	if len(frames) == 0 {
 		return
 	}
-	if queues != nil && len(queues) < n {
+	if queues != nil && len(queues) < len(frames) {
 		panic("core: ObserveShardFrames queues shorter than frames")
 	}
 	qm := *d.queueMap.Load()
-	sc := d.scratch.Get().(*batchScratch)
 	nf := len(d.cfg.Clustering.Features)
-	s := d.shards[si]
-	if d.concurrent {
-		s.mu.Lock()
-	}
+	d.lock()
 	for i := range frames {
 		f := &frames[i]
-		a := s.clusterer.ObserveFeatures(f.Vals[:nf], uint64(f.Size), false)
-		sc.assigned[a.Cluster]++
+		a := d.clusterer.ObserveFeatures(f.Vals[:nf], uint64(f.Size), false)
+		d.batch.assigned[a.Cluster]++
 		q := d.queueIn(qm, a.Cluster)
-		sc.routed[q]++
+		d.batch.routed[q]++
 		if queues != nil {
 			queues[i] = q
 		}
 	}
-	if d.concurrent {
-		s.mu.Unlock()
-	}
-	// One consumer owns a shard, so its stripe block's first stripe is
-	// as good as any and stays on one cache line.
-	d.flushCounts(si*countStripes, sc)
-	d.scratch.Put(sc)
+	d.flushBatch(0)
+	d.unlock()
 }
 
 // AssignedCounts returns the per-cluster-slot assignment totals since
-// construction, aggregated across shards. Safe to call concurrently
-// with packet processing (values may trail in-flight packets).
+// construction. Safe to call concurrently with packet processing
+// (values may trail in-flight packets).
 func (d *Dataplane) AssignedCounts() []uint64 { return d.assigned.Values() }
 
-// RoutedCounts returns the per-priority-queue routing totals counted by
-// Classify, aggregated across shards.
+// RoutedCounts returns the per-priority-queue routing totals.
 func (d *Dataplane) RoutedCounts() []uint64 { return d.routed.Values() }
 
 // Describe registers the data plane's per-slot and per-queue counters
@@ -415,76 +262,37 @@ func (d *Dataplane) Describe(reg *telemetry.Registry, prefix string) {
 	reg.Vec(prefix+"_routed_pkts", d.routed)
 }
 
-// Observed returns the total number of packets observed across all
-// shards. In concurrent mode it takes each shard's lock, so the value
-// is exact once ingest has quiesced.
+// Observed returns the total number of packets observed. In concurrent
+// mode it takes the lock, so the value is exact once ingest has
+// quiesced.
 func (d *Dataplane) Observed() uint64 {
-	var total uint64
-	for _, s := range d.shards {
-		if d.concurrent {
-			s.mu.Lock()
-		}
-		total += s.clusterer.Observed
-		if d.concurrent {
-			s.mu.Unlock()
-		}
-	}
-	return total
+	d.lock()
+	defer d.unlock()
+	return d.clusterer.Observed
 }
 
 // Snapshot returns the interpretable cluster view the control plane
-// ranks: shard 0's snapshot verbatim for a single pipeline, or the
-// slot-wise merge across shards (see cluster.MergeSnapshots). The
-// returned Infos are deep copies owned by the caller; the data plane
-// never mutates them afterwards.
+// ranks. The returned Infos are deep copies owned by the caller; the
+// data plane never mutates them afterwards.
 func (d *Dataplane) Snapshot() []cluster.Info {
-	if len(d.shards) == 1 {
-		s := d.shards[0]
-		if !d.concurrent {
-			return s.clusterer.Snapshot()
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.clusterer.Snapshot()
-	}
-	snaps := make([][]cluster.Info, len(d.shards))
-	for i, s := range d.shards {
-		if d.concurrent {
-			s.mu.Lock()
-		}
-		snaps[i] = s.clusterer.Snapshot()
-		if d.concurrent {
-			s.mu.Unlock()
-		}
-	}
-	return cluster.MergeSnapshots(d.cfg.Clustering.Distance, snaps...)
+	d.lock()
+	defer d.unlock()
+	return d.clusterer.Snapshot()
 }
 
-// ResetStats zeroes the per-window counters on every shard (the
-// controller calls this after each poll).
+// ResetStats zeroes the per-window counters (the controller calls this
+// after each poll).
 func (d *Dataplane) ResetStats() {
-	for _, s := range d.shards {
-		if d.concurrent {
-			s.mu.Lock()
-		}
-		s.clusterer.ResetStats()
-		if d.concurrent {
-			s.mu.Unlock()
-		}
-	}
+	d.lock()
+	d.clusterer.ResetStats()
+	d.unlock()
 }
 
-// Reseed discards all clusters on every shard.
+// Reseed discards all clusters.
 func (d *Dataplane) Reseed() {
-	for _, s := range d.shards {
-		if d.concurrent {
-			s.mu.Lock()
-		}
-		s.clusterer.Reseed()
-		if d.concurrent {
-			s.mu.Unlock()
-		}
-	}
+	d.lock()
+	d.clusterer.Reseed()
+	d.unlock()
 }
 
 // Deploy installs a new cluster→queue mapping. The slice is copied, so

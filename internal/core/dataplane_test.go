@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,69 +20,54 @@ func mkPkt(i int) *packet.Packet {
 	}
 }
 
-func TestShardOfStableAndSpread(t *testing.T) {
+// TestAssignConservation: every packet assigned from concurrent
+// goroutines lands in exactly one valid slot, and the snapshot accounts
+// for all of them.
+func TestAssignConservation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Shards = 4
-	dp := NewDataplane(cfg, false)
-	seen := make([]int, 4)
-	for i := 0; i < 256; i++ {
-		p := mkPkt(i)
-		s := dp.ShardOf(p)
-		if s < 0 || s >= 4 {
-			t.Fatalf("shard %d out of range", s)
-		}
-		if again := dp.ShardOf(p); again != s {
-			t.Fatalf("flow hashed to %d then %d", s, again)
-		}
-		seen[s]++
+	dp := NewDataplane(cfg, true)
+	const workers, perWorker = 4, 1250
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if a := dp.Assign(mkPkt(w*perWorker + i)); a.Cluster < 0 || a.Cluster >= cfg.Clustering.MaxClusters {
+					errs <- fmt.Sprintf("assignment out of range: %+v", a)
+					return
+				}
+			}
+		}(w)
 	}
-	for s, n := range seen {
-		if n == 0 {
-			t.Fatalf("shard %d received no flows out of 256", s)
-		}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
 	}
-	// Same flow, different packet sizes: must still land on one shard.
-	a, b := mkPkt(7), mkPkt(7)
-	b.Length = 1499
-	b.TTL = 1
-	if dp.ShardOf(a) != dp.ShardOf(b) {
-		t.Fatal("flow affinity broken by non-5-tuple fields")
-	}
-}
-
-func TestShardedAssignConservation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	dp := NewDataplane(cfg, false)
-	const n = 5000
-	for i := 0; i < n; i++ {
-		a := dp.Assign(mkPkt(i))
-		if a.Cluster < 0 || a.Cluster >= cfg.Clustering.MaxClusters {
-			t.Fatalf("assignment out of range: %+v", a)
-		}
-	}
+	const n = workers * perWorker
 	if got := dp.Observed(); got != n {
 		t.Fatalf("observed %d packets, fed %d", got, n)
 	}
-	var snapTotal uint64
+	var snapTotal, assigned uint64
 	for _, info := range dp.Snapshot() {
 		snapTotal += info.TotalPackets
 	}
-	if snapTotal != n {
-		t.Fatalf("merged snapshot accounts %d packets, fed %d", snapTotal, n)
+	for _, c := range dp.AssignedCounts() {
+		assigned += c
+	}
+	if snapTotal != n || assigned != n {
+		t.Fatalf("snapshot accounts %d and counters %d packets, fed %d", snapTotal, assigned, n)
 	}
 }
 
-// TestShardedDeterministic runs the same packet sequence twice through
-// sharded pipelines and requires identical verdicts: the demux is a
-// pure flow hash and each shard is deterministic, so single-threaded
-// sharded operation is reproducible.
-func TestShardedDeterministic(t *testing.T) {
+// TestAssignDeterministic runs the same packet sequence twice through
+// the simulator pipeline and requires identical verdicts.
+func TestAssignDeterministic(t *testing.T) {
 	run := func() []int {
-		cfg := DefaultConfig()
-		cfg.Shards = 4
 		eng := eventsim.New()
-		turbo := New(eng, cfg)
+		turbo := New(eng, DefaultConfig())
 		out := make([]int, 0, 2000)
 		for i := 0; i < 2000; i++ {
 			eng.RunUntil(eventsim.Time(i) * eventsim.Millisecond / 4)
@@ -97,12 +84,11 @@ func TestShardedDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedControlLoopMergesAndDeploys drives a sharded pipeline
-// under the eventsim clock and checks the control plane ranks the
-// merged view and deploys a mapping that deprioritizes the flood.
-func TestShardedControlLoopMergesAndDeploys(t *testing.T) {
+// TestControlLoopDemotesFlood drives the pipeline under the eventsim
+// clock and checks the control plane ranks the polled view and deploys
+// a mapping that deprioritizes the flood.
+func TestControlLoopDemotesFlood(t *testing.T) {
 	cfg := fourClusterConfig()
-	cfg.Shards = 2
 	eng := eventsim.New()
 	turbo := New(eng, cfg)
 	flood := &packet.Packet{
@@ -119,19 +105,18 @@ func TestShardedControlLoopMergesAndDeploys(t *testing.T) {
 	}
 	eng.RunUntil(eventsim.Time(1100) * eventsim.Millisecond)
 	if turbo.Deployments == 0 {
-		t.Fatal("sharded control loop never deployed")
+		t.Fatal("control loop never deployed")
 	}
 	dec := turbo.LastDecision
 	if dec == nil {
 		t.Fatal("no decision")
 	}
-	// The merged snapshot must account traffic from both shards.
 	var total uint64
 	for _, info := range dec.Clusters {
 		total += info.TotalPackets
 	}
 	if total == 0 {
-		t.Fatal("merged snapshot empty")
+		t.Fatal("decision snapshot empty")
 	}
 	floodA := turbo.Dataplane().Assign(flood)
 	benignA := turbo.Dataplane().Assign(mkPkt(3))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"accturbo/internal/packet"
@@ -33,7 +34,7 @@ func mkFrames(t testing.TB, n int) ([]*packet.Packet, []packet.FrameView) {
 }
 
 // toFeatures reduces parsed views to the FrameFeatures records the
-// ingest producer hands the shard consumers.
+// ingest producer hands the ring consumer.
 func toFeatures(cfg Config, views []packet.FrameView) []FrameFeatures {
 	fs := cfg.Clustering.Features
 	out := make([]FrameFeatures, len(views))
@@ -45,114 +46,85 @@ func toFeatures(cfg Config, views []packet.FrameView) []FrameFeatures {
 	return out
 }
 
-// TestShardOfFrameMatchesShardOf: a frame and the packet unmarshaled
-// from it must demux to the same shard — the invariant that keeps flows
-// shard-affine across the struct and frame ingest paths.
-func TestShardOfFrameMatchesShardOf(t *testing.T) {
+// TestObserveShardFramesMatchesObserveBatch drives the same wire stream
+// through ObserveBatch (struct path) and through ObserveShardFrames
+// (fused frame path, in the uneven chunks a ring consumer sees) and
+// requires identical queue decisions, counters, and cluster state.
+func TestObserveShardFramesMatchesObserveBatch(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Shards = 4
-	dp := NewDataplane(cfg, false)
-	pkts, views := mkFrames(t, 512)
-	for i := range pkts {
-		if a, b := dp.ShardOf(pkts[i]), dp.ShardOfFrame(&views[i]); a != b {
-			t.Fatalf("packet %d: shard %d via struct, %d via frame", i, a, b)
+	structSide := NewDataplane(cfg, false)
+	frameSide := NewDataplane(cfg, false)
+
+	const n = 4096
+	pkts, views := mkFrames(t, n)
+	wantQ := make([]int, n)
+	structSide.ObserveBatch(pkts, wantQ)
+
+	ffs := toFeatures(cfg, views)
+	gotQ := make([]int, n)
+	for lo := 0; lo < n; {
+		hi := lo + 1 + (lo % 61)
+		if hi > n {
+			hi = n
+		}
+		frameSide.ObserveShardFrames(0, ffs[lo:hi], gotQ[lo:hi])
+		lo = hi
+	}
+
+	for i := range wantQ {
+		if gotQ[i] != wantQ[i] {
+			t.Fatalf("packet %d queued %d via frames, %d via structs", i, gotQ[i], wantQ[i])
+		}
+	}
+	if a, b := structSide.Observed(), frameSide.Observed(); a != b {
+		t.Fatalf("observed %d via frames, %d via structs", b, a)
+	}
+	if a, b := structSide.AssignedCounts(), frameSide.AssignedCounts(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("assigned %v via frames, %v via structs", b, a)
+	}
+	if a, b := structSide.RoutedCounts(), frameSide.RoutedCounts(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("routed %v via frames, %v via structs", b, a)
+	}
+	a, b := structSide.Snapshot(), frameSide.Snapshot()
+	if len(a) != len(b) {
+		t.Fatalf("%d clusters via frames, %d via structs", len(b), len(a))
+	}
+	for i := range a {
+		if a[i].Packets != b[i].Packets || a[i].Bytes != b[i].Bytes || a[i].Size != b[i].Size {
+			t.Fatalf("cluster %d diverged: %+v vs %+v", i, b[i], a[i])
+		}
+		if !reflect.DeepEqual(a[i].Ranges, b[i].Ranges) {
+			t.Fatalf("cluster %d ranges diverged", i)
 		}
 	}
 }
 
-// TestObserveShardFramesMatchesObserveBatch drives the same wire stream
-// through ObserveBatch (struct path) and through per-shard
-// ObserveShardFrames (fused frame path, demuxed the way the ring
-// consumers demux) and requires identical queue decisions, counters,
-// and cluster state.
-func TestObserveShardFramesMatchesObserveBatch(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.Shards = shards
-		structSide := NewDataplane(cfg, false)
-		frameSide := NewDataplane(cfg, false)
-
-		const n = 4096
-		pkts, views := mkFrames(t, n)
-		wantQ := make([]int, n)
-		structSide.ObserveBatch(pkts, wantQ)
-
-		// Demux frames to shards preserving stream order, as the ring
-		// consumers see them, then feed each shard in uneven chunks.
-		ffs := toFeatures(cfg, views)
-		bySh := make([][]FrameFeatures, shards)
-		origIdx := make([][]int, shards)
-		for i := range views {
-			si := frameSide.ShardOfFrame(&views[i])
-			bySh[si] = append(bySh[si], ffs[i])
-			origIdx[si] = append(origIdx[si], i)
+// TestObserveShardFramesRejectsOtherPipelines: the data plane runs one
+// pipeline, so any index but 0 is a caller bug and must fail loudly.
+func TestObserveShardFramesRejectsOtherPipelines(t *testing.T) {
+	cfg := DefaultConfig()
+	dp := NewDataplane(cfg, false)
+	_, views := mkFrames(t, 4)
+	ffs := toFeatures(cfg, views)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ObserveShardFrames(1, ...) did not panic")
 		}
-		gotQ := make([]int, n)
-		for si := range bySh {
-			seg, idx := bySh[si], origIdx[si]
-			qbuf := make([]int, len(seg))
-			for lo := 0; lo < len(seg); {
-				hi := lo + 1 + (lo % 61)
-				if hi > len(seg) {
-					hi = len(seg)
-				}
-				frameSide.ObserveShardFrames(si, seg[lo:hi], qbuf[lo:hi])
-				lo = hi
-			}
-			for j, q := range qbuf {
-				gotQ[idx[j]] = q
-			}
+		if dp.Observed() != 0 {
+			t.Fatalf("observed %d packets before panicking", dp.Observed())
 		}
-
-		for i := range wantQ {
-			if gotQ[i] != wantQ[i] {
-				t.Fatalf("shards=%d: packet %d queued %d via frames, %d via structs",
-					shards, i, gotQ[i], wantQ[i])
-			}
-		}
-		if a, b := structSide.Observed(), frameSide.Observed(); a != b {
-			t.Fatalf("shards=%d: observed %d via frames, %d via structs", shards, b, a)
-		}
-		wantA, gotA := structSide.AssignedCounts(), frameSide.AssignedCounts()
-		for i := range wantA {
-			if gotA[i] != wantA[i] {
-				t.Fatalf("shards=%d: assigned[%d] = %d via frames, %d via structs", shards, i, gotA[i], wantA[i])
-			}
-		}
-		wantR, gotR := structSide.RoutedCounts(), frameSide.RoutedCounts()
-		for i := range wantR {
-			if gotR[i] != wantR[i] {
-				t.Fatalf("shards=%d: routed[%d] = %d via frames, %d via structs", shards, i, gotR[i], wantR[i])
-			}
-		}
-		for s := 0; s < shards; s++ {
-			a, b := structSide.Clusterer(s).Snapshot(), frameSide.Clusterer(s).Snapshot()
-			if len(a) != len(b) {
-				t.Fatalf("shards=%d: shard %d has %d clusters via frames, %d via structs", shards, s, len(b), len(a))
-			}
-			for i := range a {
-				if a[i].Packets != b[i].Packets || a[i].Bytes != b[i].Bytes || a[i].Size != b[i].Size {
-					t.Fatalf("shards=%d: shard %d cluster %d diverged: %+v vs %+v", shards, s, i, b[i], a[i])
-				}
-				for f := range a[i].Ranges {
-					if a[i].Ranges[f] != b[i].Ranges[f] {
-						t.Fatalf("shards=%d: shard %d cluster %d range %d diverged", shards, s, i, f)
-					}
-				}
-			}
-		}
-	}
+	}()
+	dp.ObserveShardFrames(1, ffs, nil)
 }
 
 // TestObserveShardFramesZeroAlloc gates the frame consumer hot path:
-// once the scratch pool is warm, classifying a frame batch allocates
+// once the clusterer is warm, classifying a frame batch allocates
 // nothing.
 func TestObserveShardFramesZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	cfg := DefaultConfig()
-	cfg.Shards = 1
 	dp := NewDataplane(cfg, true)
 	_, views := mkFrames(t, 256)
 	ffs := toFeatures(cfg, views)

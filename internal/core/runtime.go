@@ -10,9 +10,9 @@ import (
 // RuntimeConfig is the hot-reloadable half of Config: everything the
 // control loop re-reads on every tick and an operator may change on a
 // running defense without dropping a packet. The structural half —
-// feature set, cluster count, queue count, shards — is fixed at
-// construction because changing it would invalidate live data-plane
-// state (cluster geometry, queue buffers, shard demux).
+// feature set, cluster count, queue count — is fixed at construction
+// because changing it would invalidate live data-plane state (cluster
+// geometry, queue buffers).
 //
 // The control plane holds the current RuntimeConfig in a Hot pointer:
 // Reconfigure validates a patched copy, publishes it atomically (which

@@ -20,7 +20,7 @@ import (
 // fresh process needs to resume defending without a re-convergence
 // window: the live runtime config (not its generation — that counts
 // Reconfigure calls in one process's lifetime), the deployed queue map,
-// every shard's learned clusterer state, the last deployed decision,
+// the learned clusterer state, the last deployed decision,
 // fail-open status, and the lifetime telemetry counters. Save → restore
 // → save is byte-identical, which is what the CI determinism gate
 // checks.
@@ -31,14 +31,15 @@ const (
 
 // SaveState serializes the full defense state of the dataplane/control
 // plane pair into w. It is safe to call on a live concurrent pipeline:
-// shard clusterers are locked one at a time while marshaled.
+// the clusterer is locked while marshaled.
 func SaveState(w io.Writer, dp *Dataplane, cp *ControlPlane) error {
 	var e codec.Enc
 
 	// Structural fingerprint: a snapshot only restores into a pipeline
-	// with identical shape. Feature-set and clustering details are
-	// checked per shard by cluster.Unmarshal's own fingerprint.
-	e.U32(uint32(len(dp.shards)))
+	// with identical shape. The leading pipeline count is always 1.
+	// Feature-set and clustering details are checked by
+	// cluster.Unmarshal's own fingerprint.
+	e.U32(1)
 	e.U32(uint32(dp.cfg.NumQueues))
 	e.U32(uint32(dp.cfg.Clustering.MaxClusters))
 
@@ -56,17 +57,11 @@ func SaveState(w io.Writer, dp *Dataplane, cp *ControlPlane) error {
 		e.U32(uint32(q))
 	}
 
-	for _, s := range dp.shards {
-		if dp.concurrent {
-			s.mu.Lock()
-		}
-		blob := s.clusterer.Marshal()
-		if dp.concurrent {
-			s.mu.Unlock()
-		}
-		e.U32(uint32(len(blob)))
-		e.Raw(blob)
-	}
+	dp.lock()
+	blob := dp.clusterer.Marshal()
+	dp.unlock()
+	e.U32(uint32(len(blob)))
+	e.Raw(blob)
 
 	encodeDecision(&e, cp.lastDec.Load())
 
@@ -108,8 +103,8 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 	}
 
 	d := codec.NewDec(payload, "core: snapshot")
-	if got, want := int(d.U32()), len(dp.shards); got != want {
-		return fmt.Errorf("core: snapshot has %d shards, pipeline has %d", got, want)
+	if got := d.U32(); got != 1 {
+		return fmt.Errorf("core: snapshot has %d clustering pipelines, want 1", got)
 	}
 	if got, want := int(d.U32()), dp.cfg.NumQueues; got != want {
 		return fmt.Errorf("core: snapshot has %d queues, pipeline has %d", got, want)
@@ -132,10 +127,7 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 		qm[i] = int(d.U32())
 	}
 
-	blobs := make([][]byte, len(dp.shards))
-	for i := range blobs {
-		blobs[i] = d.Bytes(d.Count(1))
-	}
+	blob := d.Bytes(d.Count(1))
 
 	dec := decodeDecision(&d)
 
@@ -170,14 +162,11 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 	if err := rt.Validate(); err != nil {
 		return fmt.Errorf("core: snapshot runtime config: %w", err)
 	}
-	// Each shard's state decodes into a scratch clusterer, so a blob
-	// that fails leaves every shard — earlier ones included — untouched.
-	restored := make([]*cluster.Online, len(blobs))
-	for i, blob := range blobs {
-		restored[i] = cluster.NewOnline(dp.cfg.Clustering)
-		if err := restored[i].Unmarshal(blob); err != nil {
-			return fmt.Errorf("core: shard %d: %w", i, err)
-		}
+	// The clusterer state decodes into a scratch clusterer, so a blob
+	// that fails leaves the live one untouched.
+	restored := cluster.NewOnline(dp.cfg.Clustering)
+	if err := restored.Unmarshal(blob); err != nil {
+		return fmt.Errorf("core: clusterer: %w", err)
 	}
 
 	// Everything decoded and validated — commit. The runtime config goes
@@ -186,15 +175,9 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 	if _, err := cp.Reconfigure(rt.patch()); err != nil {
 		return fmt.Errorf("core: snapshot runtime config: %w", err)
 	}
-	for i, s := range dp.shards {
-		if dp.concurrent {
-			s.mu.Lock()
-		}
-		s.clusterer = restored[i]
-		if dp.concurrent {
-			s.mu.Unlock()
-		}
-	}
+	dp.lock()
+	dp.clusterer = restored
+	dp.unlock()
 	dp.Deploy(qm)
 	if dec != nil {
 		cp.lastDec.Store(dec)

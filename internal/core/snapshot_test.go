@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,17 +39,15 @@ func warmPipeline(t testing.TB, cfg Config, concurrent bool) (*Dataplane, *Contr
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		shards     int
 		concurrent bool
 	}{
-		{"single", 0, false},
-		{"sharded-concurrent", 4, true},
+		{"single", false},
+		{"concurrent", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 100 * eventsim.Millisecond
 			cfg.DeployDelay = 10 * eventsim.Millisecond
-			cfg.Shards = tc.shards
 			dp, cp, _ := warmPipeline(t, cfg, tc.concurrent)
 
 			var buf bytes.Buffer
@@ -195,11 +194,30 @@ func TestSnapshotRejects(t *testing.T) {
 		}
 	})
 	t.Run("structural-mismatch", func(t *testing.T) {
-		other := cfg
-		other.Shards = 2
-		d, c := fresh(other)
-		if err := RestoreState(bytes.NewReader(blob), d, c); err == nil {
-			t.Fatal("accepted a snapshot with a different shard count")
+		// A well-sealed snapshot claiming two clustering pipelines is
+		// refused before anything changes.
+		payload, err := codec.ReadSealed(bytes.NewReader(blob), snapMagic, snapVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(payload, 2)
+		var two bytes.Buffer
+		if err := codec.WriteSealed(&two, snapMagic, snapVersion, payload); err != nil {
+			t.Fatal(err)
+		}
+		d, c := fresh(cfg)
+		var before, after bytes.Buffer
+		if err := SaveState(&before, d, c); err != nil {
+			t.Fatal(err)
+		}
+		if err := RestoreState(&two, d, c); err == nil || !strings.Contains(err.Error(), "2 clustering pipelines") {
+			t.Fatalf("err = %v, want a refused pipeline count", err)
+		}
+		if err := SaveState(&after, d, c); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatal("a refused restore changed the pipeline's saved state")
 		}
 	})
 	t.Run("not-fresh", func(t *testing.T) {
@@ -211,12 +229,12 @@ func TestSnapshotRejects(t *testing.T) {
 	})
 }
 
-// hostileSnapshot seals an ACCSNAP1 payload for a fresh single-shard
-// pipeline of cfg that is well formed up to the count named at, which
-// claims 0x7fffffff elements and ends the payload (a count inside the
-// decision's one cluster is followed by enough zero bytes for the
-// enclosing cluster count to pass). Every other list is empty or holds
-// one element, and shard 0's blob is empty (blobs are only interpreted
+// hostileSnapshot seals an ACCSNAP1 payload for a fresh pipeline of cfg
+// that is well formed up to the count named at, which claims 0x7fffffff
+// elements and ends the payload (a count inside the decision's one
+// cluster is followed by enough zero bytes for the enclosing cluster
+// count to pass). Every other list is empty or holds
+// one element, and the clusterer blob is empty (it is only interpreted
 // once the whole payload has decoded).
 func hostileSnapshot(t *testing.T, cfg Config, at string) []byte {
 	t.Helper()
@@ -247,7 +265,7 @@ func hostileSnapshot(t *testing.T, cfg Config, at string) []byte {
 	if count("queue map", 0) {
 		return seal()
 	}
-	e.U32(0) // shard 0's blob length
+	e.U32(0) // the clusterer blob's length
 	e.Bool(true)
 	e.I64(1)
 	e.I64(2)
@@ -306,9 +324,9 @@ func TestRestoreStateRejectsHostileCounts(t *testing.T) {
 }
 
 // TestRestoreStateFailureChangesNothing: a snapshot that passes the
-// structural checks but fails on a shard's clusterer fingerprint must
-// leave the target exactly as it was — runtime config, generation,
-// shard state and all — so re-saving it gives the pre-restore bytes.
+// structural checks but fails on the clusterer fingerprint must leave
+// the target exactly as it was — runtime config, generation, clusterer
+// state and all — so re-saving it gives the pre-restore bytes.
 func TestRestoreStateFailureChangesNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	dp, cp, _ := warmPipeline(t, cfg, false)
@@ -331,7 +349,7 @@ func TestRestoreStateFailureChangesNothing(t *testing.T) {
 	}
 	err := RestoreState(bytes.NewReader(src.Bytes()), dp2, cp2)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("err = %v, want a shard fingerprint mismatch", err)
+		t.Fatalf("err = %v, want a clusterer fingerprint mismatch", err)
 	}
 	if g := cp2.ConfigGeneration(); g != 1 {
 		t.Fatalf("ConfigGeneration = %d after a failed restore, want 1", g)

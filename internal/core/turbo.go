@@ -6,14 +6,12 @@
 //
 //   - Dataplane (dataplane.go) is the per-packet pipeline: feature
 //     extraction → cluster assignment → queue classification. It owns
-//     no timers and never touches a clock; it can be sharded into N
-//     independent clusterers fed by an RSS-style flow hash, mirroring
-//     the per-pipe clustering of the multi-pipe Tofino prototype.
+//     no timers and never touches a clock.
 //   - ControlPlane (controlplane.go) is the periodic scheduler: poll
-//     per-cluster statistics (merged across shards), rank clusters by
-//     estimated maliciousness, map them to priority queues — most
-//     suspicious last — and deploy the mapping after DeployDelay,
-//     modeling the controller latency measured in §7.
+//     per-cluster statistics, rank clusters by estimated
+//     maliciousness, map them to priority queues — most suspicious
+//     last — and deploy the mapping after DeployDelay, modeling the
+//     controller latency measured in §7.
 //   - Clock (clock.go) is the narrow scheduler interface between them,
 //     with a bit-identical eventsim adapter (SimClock) for simulations
 //     and a wall-clock driver (WallClock) for real-time use.
@@ -91,11 +89,10 @@ type Config struct {
 	// periodically so aggregates can re-form after traffic shifts
 	// (the controller-driven re-initialization of the prototype).
 	ReseedInterval eventsim.Time
-	// Shards is the number of independent data-plane clustering
-	// pipelines (multi-pipe operation). Zero or one selects the single
-	// deterministic pipeline; N > 1 demuxes packets by flow hash across
-	// N clusterers whose snapshots the control plane merges before
-	// ranking.
+	// Shards must be 0 or 1: the data plane runs one clustering
+	// pipeline. A flow-hash sharded variant measured no faster than one
+	// pipeline and was removed; the field remains so configurations
+	// that set it to 1 keep compiling.
 	Shards int
 	// FailOpenAfter, when positive, arms the control-plane watchdog: if
 	// no fresh decision deploys within FailOpenAfter of the previous
@@ -159,8 +156,8 @@ func (c *Config) Validate() error {
 	if c.NumQueues < 0 {
 		return fmt.Errorf("core: NumQueues %d < 0", c.NumQueues)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards %d < 0", c.Shards)
+	if c.Shards != 0 && c.Shards != 1 {
+		return fmt.Errorf("core: Shards %d: only one clustering pipeline is supported (0 or 1)", c.Shards)
 	}
 	// The hot-reloadable fields share one validator with Reconfigure,
 	// so construction and live patches enforce identical bounds. A zero
@@ -192,10 +189,10 @@ type Decision struct {
 	At         eventsim.Time
 	DeployedAt eventsim.Time
 	// Clusters is the snapshot the decision was based on. It is a deep
-	// copy owned by the decision: cluster.Online.Snapshot (and the
-	// sharded merge) copy all per-cluster state, and nothing mutates
-	// the Infos after the decision is formed, so post-hoc inspection
-	// always sees the state the controller ranked.
+	// copy owned by the decision: cluster.Online.Snapshot copies all
+	// per-cluster state, and nothing mutates the Infos after the
+	// decision is formed, so post-hoc inspection always sees the state
+	// the controller ranked.
 	Clusters []cluster.Info
 	// Rank holds the computed rank metric per cluster ID.
 	Rank []float64
@@ -205,9 +202,8 @@ type Decision struct {
 }
 
 // Turbo is one ACC-Turbo instance wired for the discrete-event
-// simulator: a (possibly sharded) Dataplane classifying packets into a
-// strict-priority qdisc, and a ControlPlane driven by the engine's
-// virtual clock.
+// simulator: a Dataplane classifying packets into a strict-priority
+// qdisc, and a ControlPlane driven by the engine's virtual clock.
 type Turbo struct {
 	cfg  Config
 	dp   *Dataplane
@@ -289,10 +285,8 @@ func (t *Turbo) Dataplane() *Dataplane { return t.dp }
 // ControlPlane exposes the periodic scheduler.
 func (t *Turbo) ControlPlane() *ControlPlane { return t.cp }
 
-// Clusterer exposes shard 0's online clusterer (read-only use
-// intended). With Shards > 1 the other shards are reachable through
-// Dataplane().Clusterer(i).
-func (t *Turbo) Clusterer() *cluster.Online { return t.dp.Clusterer(0) }
+// Clusterer exposes the online clusterer (read-only use intended).
+func (t *Turbo) Clusterer() *cluster.Online { return t.dp.Clusterer() }
 
 // Config returns the (defaulted) configuration.
 func (t *Turbo) Config() Config { return t.cfg }

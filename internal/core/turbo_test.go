@@ -36,6 +36,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		func(c *Config) { c.DeployDelay = -1 },
 		func(c *Config) { c.NumQueues = -1 },
 		func(c *Config) { c.Shards = -1 },
+		func(c *Config) { c.Shards = 2 },
 		func(c *Config) { c.Ranking = Ranking(99) },
 		func(c *Config) { c.ReseedInterval = -1 },
 		func(c *Config) { c.FailOpenAfter = -1 },

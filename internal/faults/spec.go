@@ -147,7 +147,11 @@ func ParseSpec(s string) (Spec, error) {
 			return Spec{}, fmt.Errorf("faults: unknown clause kind %q", kind)
 		}
 	}
-	sort.Slice(spec.Stalls, func(i, j int) bool { return spec.Stalls[i].At < spec.Stalls[j].At })
+	// Ties on At break on For, so the order — and String — is canonical.
+	sort.Slice(spec.Stalls, func(i, j int) bool {
+		a, b := spec.Stalls[i], spec.Stalls[j]
+		return a.At < b.At || a.At == b.At && a.For < b.For
+	})
 	return spec, nil
 }
 
@@ -217,7 +221,9 @@ func probInto(dst *float64) func(string) error {
 		if err != nil {
 			return err
 		}
-		if p < 0 || p > 1 {
+		// Written so NaN fails too: it would count as a fault in
+		// Empty but render as nothing in String.
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("probability %g outside [0, 1]", p)
 		}
 		*dst = p

@@ -12,8 +12,7 @@ import (
 // CoordinatorConfig parameterizes the fleet coordinator. Slots and
 // NumQueues must match every node's structural config — slot identity
 // is the SliceInit tiling, which is what makes slot-wise merging across
-// vantage points meaningful (the same invariant the sharded dataplane
-// relies on within one process).
+// vantage points meaningful.
 type CoordinatorConfig struct {
 	// Slots is the fleet-wide cluster slot count (MaxClusters).
 	Slots int

@@ -85,49 +85,6 @@ func (v *FrameView) DstPort() uint16 { return v.dport }
 // Bytes returns the underlying frame slice the view was parsed from.
 func (v *FrameView) Bytes() []byte { return v.b }
 
-// FlowHash returns the RSS-style flow hash over the frame's 5-tuple,
-// identical to FlowHash of the unmarshaled packet. The data plane uses
-// it to demux frames to shards so packets of one flow always meet the
-// same clusterer.
-func (v *FrameView) FlowHash() uint32 {
-	h := uint32(fnvOffset32)
-	for _, c := range v.b[12:20] { // src then dst address bytes
-		h = (h ^ uint32(c)) * fnvPrime32
-	}
-	h = (h ^ uint32(v.b[9])) * fnvPrime32
-	h = (h ^ uint32(v.sport&0xff)) * fnvPrime32
-	h = (h ^ uint32(v.sport>>8)) * fnvPrime32
-	h = (h ^ uint32(v.dport&0xff)) * fnvPrime32
-	h = (h ^ uint32(v.dport>>8)) * fnvPrime32
-	return h
-}
-
-// FNV-1a parameters shared by FrameView.FlowHash and FlowHash.
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
-
-// FlowHash is FNV-1a over (src IP, dst IP, proto, sport, dport) of a
-// decoded packet — the struct-side twin of FrameView.FlowHash, kept in
-// this package so the two can never drift apart.
-func FlowHash(p *Packet) uint32 {
-	h := uint32(fnvOffset32)
-	src, dst := p.SrcIP.As4(), p.DstIP.As4()
-	for _, c := range src {
-		h = (h ^ uint32(c)) * fnvPrime32
-	}
-	for _, c := range dst {
-		h = (h ^ uint32(c)) * fnvPrime32
-	}
-	h = (h ^ uint32(p.Protocol)) * fnvPrime32
-	h = (h ^ uint32(p.SrcPort&0xff)) * fnvPrime32
-	h = (h ^ uint32(p.SrcPort>>8)) * fnvPrime32
-	h = (h ^ uint32(p.DstPort&0xff)) * fnvPrime32
-	h = (h ^ uint32(p.DstPort>>8)) * fnvPrime32
-	return h
-}
-
 // Feature extracts one feature value straight from the frame bytes,
 // bit-identical to Packet.Value on the unmarshaled packet.
 func (v *FrameView) Feature(f Feature) uint32 {

@@ -143,24 +143,6 @@ func TestParseFrameRejectionParity(t *testing.T) {
 	}
 }
 
-// TestFlowHashParity: the frame-side and struct-side flow hashes must
-// agree, including on frames whose transport header is truncated.
-func TestFlowHashParity(t *testing.T) {
-	for fi, frame := range fusedTestFrames(t) {
-		p, err := Unmarshal(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := ParseFrame(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.FlowHash() != FlowHash(p) {
-			t.Fatalf("frame %d: view hash %#x, packet hash %#x", fi, v.FlowHash(), FlowHash(p))
-		}
-	}
-}
-
 // TestFrameViewAccessors pins the remaining accessors against the
 // unmarshaled packet.
 func TestFrameViewAccessors(t *testing.T) {

@@ -14,7 +14,7 @@ package packet
 //
 // A Pool is single-goroutine, like the event engine whose simulations
 // it serves; concurrent pipelines use one pool per ingest goroutine
-// (or per shard) rather than a shared locked pool.
+// rather than a shared locked pool.
 type Pool struct {
 	free []*Packet
 

@@ -1,7 +1,7 @@
 // Package ring provides the single-producer/single-consumer ring
 // buffer underneath the wire-speed ingest path. One goroutine pushes,
 // one goroutine pops; neither ever takes a lock, so a capture thread
-// and a per-shard classifier share nothing but two cache lines of
+// and the classifying consumer share nothing but two cache lines of
 // atomics.
 //
 // The layout follows the classic bounded SPSC design used by DPDK-style

@@ -14,8 +14,8 @@
 //     change — never the index math. CountMin's counters live on one
 //     contiguous row-major []uint64 (no per-row slice headers, no
 //     pointer chase) but each estimate is bit-identical to the seed's
-//     [][]uint64 matrix, which survives as ReferenceCountMin for
-//     differential tests.
+//     [][]uint64 matrix, which survives as ReferenceCountMin in
+//     reference_test.go for differential tests.
 //
 //   - TurboCountMin and TopK (turbo.go, topk.go) are the wire-speed
 //     variants: one 64-bit mix per key, Kirsch–Mitzenmacher row
@@ -62,9 +62,9 @@ func HashBytes(seed uint64, b []byte) uint64 {
 //
 // The counter matrix is stored row-major on one contiguous slice; row r
 // starts at offset r*cols. Estimates are bit-identical to the seed-era
-// [][]uint64 layout (see ReferenceCountMin), the layout change only
-// removes the per-row slice-header load and pointer chase from the
-// per-packet path.
+// [][]uint64 layout (see ReferenceCountMin in reference_test.go); the
+// layout change only removes the per-row slice-header load and pointer
+// chase from the per-packet path.
 type CountMin struct {
 	rows, cols int
 	counts     []uint64 // row-major, len rows*cols

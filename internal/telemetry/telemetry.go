@@ -15,10 +15,11 @@
 // observe real time. Instruments never read a clock themselves on the
 // hot path; callers pass `now`, so a counter update is one atomic add.
 //
-// Concurrency: all instruments are safe for concurrent use. Writers on
-// the sharded real-time pipeline use VecCounter, whose per-shard slots
-// are padded onto distinct cache lines and aggregated lock-free at
-// read time, so concurrent shards never contend on a counter line.
+// Concurrency: all instruments are safe for concurrent use. Concurrent
+// writers on the real-time pipeline use VecCounter, whose per-stripe
+// slots are padded onto distinct cache lines and aggregated lock-free
+// at read time, so writers on different stripes never contend on a
+// counter line.
 package telemetry
 
 import (
@@ -68,45 +69,45 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// VecCounter is a vector of n counters, each striped across `shards`
-// writer slots. The layout is shard-major with each shard's stripe
-// padded to a whole number of cache lines, so writers on different
-// shards never share a line: slot(shard, i) = shard*stride + i.
-// Reads aggregate the stripes lock-free.
+// VecCounter is a vector of n counters, each striped across `stripes`
+// writer slots. The layout is stripe-major with each stripe padded to a
+// whole number of cache lines, so writers on different stripes never
+// share a line: slot(stripe, i) = stripe*stride + i. Reads aggregate
+// the stripes lock-free.
 type VecCounter struct {
 	n      int
 	stride int
 	slots  []atomic.Uint64
 }
 
-// NewVecCounter builds a vector of n counters striped across shards
+// NewVecCounter builds a vector of n counters striped across `stripes`
 // writer slots (minimum 1 each).
-func NewVecCounter(n, shards int) *VecCounter {
+func NewVecCounter(n, stripes int) *VecCounter {
 	if n < 1 {
 		n = 1
 	}
-	if shards < 1 {
-		shards = 1
+	if stripes < 1 {
+		stripes = 1
 	}
 	perLine := cacheLine / 8
 	stride := (n + perLine - 1) / perLine * perLine
-	return &VecCounter{n: n, stride: stride, slots: make([]atomic.Uint64, stride*shards)}
+	return &VecCounter{n: n, stride: stride, slots: make([]atomic.Uint64, stride*stripes)}
 }
 
 // Len returns the number of counters in the vector.
 func (v *VecCounter) Len() int { return v.n }
 
-// Add increments counter i on the given shard's stripe by delta.
-// Out-of-range indexes are clamped to the last counter; out-of-range
-// shards fold onto stripe 0 (still correct, possibly contended).
-func (v *VecCounter) Add(shard, i int, delta uint64) {
+// Add increments counter i on the given stripe by delta. Out-of-range
+// indexes are clamped to the last counter; out-of-range stripes fold
+// onto stripe 0 (still correct, possibly contended).
+func (v *VecCounter) Add(stripe, i int, delta uint64) {
 	if i < 0 || i >= v.n {
 		i = v.n - 1
 	}
-	if shard < 0 || shard*v.stride >= len(v.slots) {
-		shard = 0
+	if stripe < 0 || stripe*v.stride >= len(v.slots) {
+		stripe = 0
 	}
-	v.slots[shard*v.stride+i].Add(delta)
+	v.slots[stripe*v.stride+i].Add(delta)
 }
 
 // Value returns counter i aggregated across all stripes.
